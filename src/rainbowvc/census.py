@@ -10,9 +10,8 @@ an external generator.
 
 Per-graph work is pure, so a census can be sharded across worker
 processes; records are sorted by graph6 string afterwards, which makes the
-output byte-identical for any worker count.  rvc values are memoized per
-canonical form so a graph and its complement, which show up as each
-other's complements in two records, are solved once each.
+output byte-identical for any worker count.  Each record solves G and its
+complement once; the diameters come from those solves' all-pairs BFS.
 """
 
 import multiprocessing
@@ -22,18 +21,15 @@ from itertools import permutations
 from typing import Callable, Iterable, Iterator, Optional
 
 from .graphs import (
-    CANONICAL_MAX_VERTICES,
     Graph,
     Graph6Error,
     _mask_rows,
     _pair_table,
-    canonical_form,
+    _rows_connected,
     complement,
-    diameter,
     is_connected,
     parse_graph6,
     to_graph6,
-    triangle_mask,
 )
 from .rainbow import rvc_exact
 
@@ -71,21 +67,6 @@ CSV_HEADER = "graph6,n,rvc_g,rvc_gbar,sum,diam_g,diam_gbar,bounds_ok"
 
 
 # --- enumeration -------------------------------------------------------------
-
-def _rows_connected(rows: list[int], full: int) -> bool:
-    seen = 1
-    frontier = 1
-    while frontier:
-        nxt = 0
-        f = frontier
-        while f:
-            b = f & -f
-            nxt |= rows[b.bit_length() - 1]
-            f ^= b
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == full
-
 
 @lru_cache(maxsize=None)
 def _perm_bit_maps(n: int) -> tuple[tuple[int, ...], ...]:
@@ -188,38 +169,18 @@ def ingest_graph6(
 
 # --- per-record computation ---------------------------------------------------
 
-_RVC_MEMO: dict[object, int] = {}
-
-
-def _memo_key(g: Graph) -> object:
-    if g.n <= CANONICAL_MAX_VERTICES:
-        return canonical_form(g)
-    return (g.n, triangle_mask(g))
-
-
-def _rvc_value(g: Graph) -> int:
-    key = _memo_key(g)
-    value = _RVC_MEMO.get(key)
-    if value is None:
-        value = rvc_exact(g).value
-        _RVC_MEMO[key] = value
-    return value
-
-
-def _compute_record(line: str) -> CensusRecord:
-    g = parse_graph6(line)
-    gbar = complement(g)
-    a = _rvc_value(g)
-    b = _rvc_value(gbar)
-    total = a + b
+def _compute_record(g: Graph) -> CensusRecord:
+    a = rvc_exact(g)
+    b = rvc_exact(complement(g))
+    total = a.value + b.value
     return CensusRecord(
-        graph6=line,
+        graph6=to_graph6(g),
         n=g.n,
-        rvc_g=a,
-        rvc_gbar=b,
+        rvc_g=a.value,
+        rvc_gbar=b.value,
         sum=total,
-        diam_g=diameter(g),
-        diam_gbar=diameter(gbar),
+        diam_g=a.diameter,
+        diam_gbar=b.diameter,
         bounds_ok=2 <= total <= g.n - 1,
     )
 
@@ -233,7 +194,7 @@ def census_run(
     Records come back sorted by graph6 string regardless of stream order or
     worker count.
     """
-    lines: list[str] = []
+    graphs: list[Graph] = []
     for g in source:
         if g.n != n:
             raise ValueError(f"stream mixes orders: expected {n}, got {g.n}")
@@ -241,13 +202,13 @@ def census_run(
             raise ValueError(
                 f"stream graph {to_graph6(g)} fails the both-sides-connected precondition"
             )
-        lines.append(to_graph6(g))
-    if workers > 1 and len(lines) > 1:
-        chunk = max(1, len(lines) // (workers * 8))
+        graphs.append(g)
+    if workers > 1 and len(graphs) > 1:
+        chunk = max(1, len(graphs) // (workers * 8))
         with multiprocessing.Pool(processes=workers) as pool:
-            records = pool.map(_compute_record, lines, chunksize=chunk)
+            records = pool.map(_compute_record, graphs, chunksize=chunk)
     else:
-        records = [_compute_record(line) for line in lines]
+        records = [_compute_record(g) for g in graphs]
     records.sort(key=lambda r: r.graph6)
     return records, _summarize(records, n)
 

@@ -25,7 +25,7 @@ from .constructions import (
     lower_bound_pair,
     path_complement_pair,
 )
-from .graphs import diameter, parse_graph6, to_graph6
+from .graphs import parse_graph6, to_graph6
 from .rainbow import (
     TheoremViolationError,
     VertexColoring,
@@ -56,7 +56,7 @@ def _compute_payload(line: str) -> dict:
         "schema": SCHEMA,
         "graph6": to_graph6(g),
         "n": g.n,
-        "diameter": diameter(g),
+        "diameter": result.diameter,
         "rvc": result.value,
         "coloring": [c + 1 for c in result.witness.colors],
         "lower_bound_reason": result.lower_bound_reason,
@@ -137,6 +137,8 @@ def _cmd_construct(args: argparse.Namespace) -> int:
 def _cmd_census(args: argparse.Namespace) -> int:
     if args.builtin == (args.file is not None):
         raise _UsageError("census needs exactly one of --builtin or --file")
+    if args.workers < 1:
+        raise _UsageError(f"--workers must be at least 1, got {args.workers}")
     if args.n < 5:
         print(
             f"warning: n={args.n} is below the n >= 5 hypothesis of the "

@@ -9,7 +9,7 @@ minimizing the upper-triangle bit string over all vertex relabelings.
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 64
 GRAPH6_MAX_VERTICES = 62
@@ -124,19 +124,26 @@ def add_vertex(g: Graph, neighbors: Iterable[int]) -> Graph:
     return Graph(n + 1, tuple(rows))
 
 
-def is_connected(g: Graph) -> bool:
-    """True iff every vertex is reachable from vertex 0; K1 is connected."""
-    full = (1 << g.n) - 1
-    adj = g.adj
+def _rows_connected(rows: Sequence[int], full: int) -> bool:
+    # Reachability from vertex 0 over raw adjacency rows, so enumeration can
+    # test a candidate without building a Graph.
     seen = 1
     frontier = 1
     while frontier:
         nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= adj[v]
+        f = frontier
+        while f:
+            b = f & -f
+            nxt |= rows[b.bit_length() - 1]
+            f ^= b
         frontier = nxt & ~seen
         seen |= frontier
     return seen == full
+
+
+def is_connected(g: Graph) -> bool:
+    """True iff every vertex is reachable from vertex 0; K1 is connected."""
+    return _rows_connected(g.adj, (1 << g.n) - 1)
 
 
 def bfs_distances(g: Graph, source: int) -> list[int]:
@@ -161,11 +168,17 @@ def bfs_distances(g: Graph, source: int) -> list[int]:
     return dist
 
 
+def _distance_matrix(g: Graph) -> list[list[int]]:
+    # Row s is bfs_distances(g, s); row 0 holds a -1 iff g is disconnected.
+    return [bfs_distances(g, s) for s in range(g.n)]
+
+
 def diameter(g: Graph) -> int:
     """Largest shortest-path distance over all pairs; rejects disconnected input."""
-    if not is_connected(g):
+    dist = _distance_matrix(g)
+    if -1 in dist[0]:
         raise ValueError("diameter is undefined for disconnected graphs")
-    return max(max(bfs_distances(g, s)) for s in range(g.n))
+    return max(map(max, dist))
 
 
 # --- upper-triangle bit packing -------------------------------------------

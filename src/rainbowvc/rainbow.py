@@ -24,7 +24,7 @@ prune inside a candidate beyond checking the far-apart pairs first.
 from dataclasses import dataclass
 from typing import Iterator, Optional, Sequence
 
-from .graphs import Graph, bfs_distances, diameter, is_complete, is_connected, iter_bits
+from .graphs import Graph, _distance_matrix, is_complete, iter_bits
 
 
 class TheoremViolationError(RuntimeError):
@@ -64,12 +64,15 @@ class RvcResult:
     ``lower_bound_reason`` is one of ``complete-graph`` (value 0),
     ``diameter-minus-one`` (value met the diameter bound, nothing below it
     was tried), or ``exhausted-k`` (every k in ``exhausted`` was searched
-    and failed before the value succeeded).
+    and failed before the value succeeded).  ``diameter`` is the graph's
+    diameter, taken from the same all-pairs BFS that gives the lower bound
+    and the pair order of the search.
     """
 
     value: int
     witness: VertexColoring
     lower_bound_reason: str
+    diameter: int
     exhausted: tuple[int, ...] = ()
 
 
@@ -163,14 +166,10 @@ def exists_rainbow_path_oracle(g: Graph, coloring: VertexColoring, s: int, t: in
     return search(s, 1 << s)
 
 
-def _pairs_by_distance(g: Graph) -> list[tuple[int, int]]:
+def _pairs_by_distance(dist: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
     # Distant pairs are the hardest to connect, so test them first.
-    keyed = []
-    for s in range(g.n):
-        dist = bfs_distances(g, s)
-        for t in range(s + 1, g.n):
-            keyed.append((-dist[t], s, t))
-    keyed.sort()
+    n = len(dist)
+    keyed = sorted((-dist[s][t], s, t) for s in range(n) for t in range(s + 1, n))
     return [(s, t) for _, s, t in keyed]
 
 
@@ -186,13 +185,14 @@ def _rainbow_for_colors(
 def is_rainbow_vertex_connected(g: Graph, coloring: VertexColoring) -> bool:
     """True iff g is connected and every vertex pair has a rainbow path."""
     _check_coloring(g, coloring)
-    if not is_connected(g):
+    dist = _distance_matrix(g)
+    if -1 in dist[0]:
         return False
     if g.n == 1:
         return True
     if coloring.k == 0:
         return is_complete(g)
-    return _rainbow_for_colors(g.adj, coloring.colors, _pairs_by_distance(g))
+    return _rainbow_for_colors(g.adj, coloring.colors, _pairs_by_distance(dist))
 
 
 def find_failing_pair(g: Graph, coloring: VertexColoring) -> Optional[tuple[int, int]]:
@@ -228,20 +228,26 @@ def rgs_colorings(n: int, k: int) -> Iterator[tuple[int, ...]]:
     yield from grow(1, 0)
 
 
-def find_rainbow_coloring(g: Graph, k: int) -> Optional[VertexColoring]:
-    """First coloring with at most k colors passing the checker, or None."""
-    if not 0 <= k <= g.n:
-        raise ValueError(f"color count must be in 0..{g.n}, got {k}")
-    if not is_connected(g):
-        raise ValueError("rainbow coloring search requires a connected graph")
-    if k == 0:
-        return VertexColoring(0, ()) if is_complete(g) else None
+def _search(g: Graph, k: int, pairs: Sequence[tuple[int, int]]) -> Optional[VertexColoring]:
+    # rgs_colorings is looked up as a module global on every call, so a
+    # wrapper installed over it sees every search.
     adj = g.adj
-    pairs = _pairs_by_distance(g)
     for colors in rgs_colorings(g.n, k):
         if _rainbow_for_colors(adj, colors, pairs):
             return VertexColoring(k, colors)
     return None
+
+
+def find_rainbow_coloring(g: Graph, k: int) -> Optional[VertexColoring]:
+    """First coloring with at most k colors passing the checker, or None."""
+    if not 0 <= k <= g.n:
+        raise ValueError(f"color count must be in 0..{g.n}, got {k}")
+    dist = _distance_matrix(g)
+    if -1 in dist[0]:
+        raise ValueError("rainbow coloring search requires a connected graph")
+    if k == 0:
+        return VertexColoring(0, ()) if is_complete(g) else None
+    return _search(g, k, _pairs_by_distance(dist))
 
 
 def rvc_exact(g: Graph) -> RvcResult:
@@ -251,17 +257,20 @@ def rvc_exact(g: Graph) -> RvcResult:
     diameter - 1).  A connected non-complete graph always succeeds by
     k = n - 2; running past that bound raises TheoremViolationError.
     """
-    if not is_connected(g):
+    dist = _distance_matrix(g)
+    if -1 in dist[0]:
         raise ValueError("rvc is undefined for disconnected graphs")
-    if is_complete(g):
-        return RvcResult(0, VertexColoring(0, ()), REASON_COMPLETE)
-    lo = max(1, diameter(g) - 1)
+    diam = max(map(max, dist))
+    if diam <= 1:  # a connected graph of diameter at most 1 is complete
+        return RvcResult(0, VertexColoring(0, ()), REASON_COMPLETE, diam)
+    lo = diam - 1
+    pairs = _pairs_by_distance(dist)
     tried: list[int] = []
     for k in range(lo, g.n - 1):
-        witness = find_rainbow_coloring(g, k)
+        witness = _search(g, k, pairs)
         if witness is not None:
             reason = REASON_DIAMETER if k == lo else REASON_EXHAUSTED
-            return RvcResult(k, witness, reason, tuple(tried))
+            return RvcResult(k, witness, reason, diam, tuple(tried))
         tried.append(k)
     raise TheoremViolationError(
         f"no rainbow coloring with at most n-2 = {g.n - 2} colors on a "

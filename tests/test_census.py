@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 
 from rainbowvc import (
@@ -5,6 +7,7 @@ from rainbowvc import (
     canonical_form,
     canonical_representative,
     census_run,
+    complement,
     cycle_graph,
     enumerate_connected_graphs,
     enumerate_graphs,
@@ -12,6 +15,7 @@ from rainbowvc import (
     ingest_graph6,
     path_graph,
     records_to_csv,
+    relabel,
     summary_to_dict,
     to_graph6,
     triangle_mask,
@@ -19,6 +23,15 @@ from rainbowvc import (
 from rainbowvc.census import CSV_HEADER
 
 from strategies import all_labeled_graphs, perm_min_edge_key
+
+# sha256 of records_to_csv, pinned so any change to a record value, the
+# record order or the CSV format fails here
+N5_LABELED_CSV_SHA256 = "5fdf447ad7dddc1584e0bd82fab9c980958b391fc9df8db92461315e6203313c"
+N6_DEDUP_CSV_SHA256 = "9013eb137b49c01928fefa82e2e160c74e86f2175890f223139f0ae9bc2b4ae9"
+
+
+def csv_sha256(records) -> str:
+    return hashlib.sha256(records_to_csv(records).encode("ascii")).hexdigest()
 
 
 # --- enumeration ----------------------------------------------------------
@@ -44,7 +57,7 @@ def test_enumeration_range_validation():
 def test_n5_classes_match_naive_enumeration():
     # independent grouping: permutation-minimized edge tuples over all 1024
     # labeled graphs, against the orbit-marking enumerator
-    from rainbowvc import complement, is_connected
+    from rainbowvc import is_connected
 
     naive = set()
     for g in all_labeled_graphs(5):
@@ -156,14 +169,33 @@ def test_census_records_sorted_and_deterministic():
     assert records1 == records2
     keys = [r.graph6 for r in records1]
     assert keys == sorted(keys)
+    assert csv_sha256(records1) == N5_LABELED_CSV_SHA256
 
 
-def test_census_workers_match_single_thread():
-    single, summary1 = census_run(enumerate_graphs(6, dedup=True), 6, workers=1)
-    multi, summary2 = census_run(enumerate_graphs(6, dedup=True), 6, workers=4)
+def census_by_workers(make_stream, n: int, workers: int):
+    single, summary1 = census_run(make_stream(), n, workers=1)
+    multi, summary2 = census_run(make_stream(), n, workers=workers)
     assert single == multi
     assert summary1 == summary2
     assert records_to_csv(single) == records_to_csv(multi)
+    return single
+
+
+def test_census_workers_match_single_thread():
+    records = census_by_workers(lambda: enumerate_graphs(6, dedup=True), 6, 4)
+    assert csv_sha256(records) == N6_DEDUP_CSV_SHA256
+    # each n = 8 graph sits beside a relabeled copy of its complement, so
+    # two records solve the same pair of classes
+    perm = [3, 7, 0, 5, 1, 6, 2, 4]
+    n8 = []
+    for base in (path_graph(8), cycle_graph(8)):
+        n8 += [base, relabel(complement(base), perm)]
+    lines = [to_graph6(g) for g in n8]
+    by_g6 = {r.graph6: r for r in census_by_workers(lambda: ingest_graph6(lines), 8, 2)}
+    for i in (0, 2):
+        a, b = by_g6[lines[i]], by_g6[lines[i + 1]]
+        assert (a.rvc_g, a.diam_g) == (b.rvc_gbar, b.diam_gbar)
+        assert (a.rvc_gbar, a.diam_gbar) == (b.rvc_g, b.diam_g)
 
 
 def test_census_ingested_n8():
@@ -176,14 +208,23 @@ def test_census_ingested_n8():
     assert (p8.rvc_g, p8.rvc_gbar, p8.sum, p8.bounds_ok) == (6, 1, 7, True)
 
 
-def test_census_ingested_n9_uses_mask_memo():
-    # past the canonical-form guarantee the memo falls back to exact masks
+def test_census_ingested_n9_above_canonical_limit():
+    # ingestion and solving work past CANONICAL_MAX_VERTICES
     from rainbowvc import diameter_two_graph
 
     g = diameter_two_graph(9)
     records, summary = census_run(ingest_graph6([to_graph6(g)]), 9)
     assert summary.total_pairs == 1
     assert records[0].sum == 2 and records[0].bounds_ok
+
+
+def test_census_diameters_match_networkx():
+    nx = pytest.importorskip("networkx")
+    records, _ = census_run(enumerate_graphs(6, dedup=True), 6)
+    assert records
+    for r in records:
+        ref = nx.from_graph6_bytes(r.graph6.encode("ascii"))
+        assert (r.diam_g, r.diam_gbar) == (nx.diameter(ref), nx.diameter(nx.complement(ref)))
 
 
 def test_dedup_soundness_small():

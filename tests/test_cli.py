@@ -221,6 +221,14 @@ def test_census_needs_exactly_one_source(capsys):
     assert run(capsys, "census", "--n", "5", "--builtin", "--file", "x.g6")[0] == 1
 
 
+def test_census_rejects_workers_below_one(capsys):
+    for workers in ("0", "-2"):
+        code, out, err = run(capsys, "census", "--n", "5", "--builtin", "--workers", workers)
+        assert code == 1
+        assert out == ""
+        assert "--workers" in err
+
+
 def test_census_violation_exit_code(capsys, monkeypatch):
     # the bound holds everywhere reachable, so fake one violation
     fake_summary = CensusSummary(5, 1, 5, 5, ("Dhc",), ("Dhc",), ("Dhc",))

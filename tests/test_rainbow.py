@@ -210,6 +210,21 @@ def test_rvc_cycles_with_slack():
     assert res.exhausted == (2,)
 
 
+def test_rvc_diameter_matches_networkx():
+    # independent oracle: every connected graph of the networkx atlas, n <= 6
+    nx = pytest.importorskip("networkx")
+    checked = 0
+    for ref in nx.graph_atlas_g():
+        n = ref.number_of_nodes()
+        if not 1 <= n <= 6 or not nx.is_connected(ref):
+            continue
+        assert rvc_exact(from_edges(n, ref.edges())).diameter == nx.diameter(ref)
+        checked += 1
+    assert checked == 1 + 1 + 2 + 6 + 21 + 112
+    assert rvc_exact(complete_graph(1)).diameter == 0
+    assert all(rvc_exact(complete_graph(n)).diameter == 1 for n in range(2, 7))
+
+
 def test_rvc_rejects_disconnected():
     with pytest.raises(ValueError):
         rvc_exact(from_edges(4, [(0, 1), (2, 3)]))
