@@ -2,8 +2,9 @@
 """Reproduce the complement-sum verification end to end.
 
 Runs the sharpness families and the exhaustive censuses, prints one line
-per result, and optionally writes the census CSVs.  The full run (census
-up to n = 7) takes well under a minute on one core.
+per result, and optionally writes the census CSVs.  Exits 1 if any check
+fails.  The full run (census up to n = 7) took 1.3-1.7 s with CPython 3.11
+on one vCPU of a 2-vCPU x86-64 KVM guest, about 1 s of it the n = 7 census.
 
     python scripts/verify_bounds.py --max-census-n 7 --out-dir results
 """

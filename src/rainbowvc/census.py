@@ -1,12 +1,20 @@
 """Exhaustive small-graph census of rvc(G) + rvc(G-bar).
 
-Built-in enumeration walks every edge subset of K_n (n <= 7), keeps the
-graphs whose complement is also connected, and optionally deduplicates by
-isomorphism: masks are visited in ascending order of the packed triangle
-bit string, so the first unvisited qualifying mask is the lexicographic
-minimum of its orbit, i.e. exactly the canonical representative; its whole
-orbit is then marked visited.  Larger orders come in as graph6 lines from
-an external generator.
+Built-in enumeration (n <= 7) either walks every labeled edge subset of
+K_n, or builds one graph per isomorphism class by vertex extension (after
+B. D. McKay, J. Algorithms 26 (1998)): from the order-0 graph, level k
+joins a new vertex to each order-(k-1) class over each neighbour set S and
+keeps one graph per canonical mask.  No class is lost:
+
+- S is kept only if the new vertex has minimum degree.  An order-k graph G
+  minus a minimum-degree vertex v is isomorphic, by some phi, to a kept
+  class P, and P plus a vertex joined to phi(N(v)) is G again, v relabeled.
+- The isomorphism-invariant test (connected, or both sides connected) is
+  applied at the last level only, before canonicalising; earlier levels
+  keep every class, as a connected graph may lose a vertex and disconnect.
+
+Classes come out in ascending canonical mask (so graph6) order.  Larger
+orders come in as graph6 lines from an external generator.
 
 Per-graph work is pure, so a census can be sharded across worker
 processes; records are sorted by graph6 string afterwards, which makes the
@@ -16,15 +24,14 @@ complement once; the diameters come from those solves' all-pairs BFS.
 
 import multiprocessing
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import permutations
 from typing import Callable, Iterable, Iterator, Optional
 
 from .graphs import (
     Graph,
     Graph6Error,
+    _columns_to_mask,
     _mask_rows,
-    _pair_table,
+    _min_columns,
     _rows_connected,
     complement,
     is_connected,
@@ -68,53 +75,44 @@ CSV_HEADER = "graph6,n,rvc_g,rvc_gbar,sum,diam_g,diam_gbar,bounds_ok"
 
 # --- enumeration -------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _perm_bit_maps(n: int) -> tuple[tuple[int, ...], ...]:
-    # maps[perm][bit position] = the bit (as a mask) that position moves to
-    pairs = _pair_table(n)
-    m = len(pairs)
-    pos = {}
-    for p, (i, j) in enumerate(pairs):
-        pos[(i, j)] = m - 1 - p
-        pos[(j, i)] = m - 1 - p
-    maps = []
-    for perm in permutations(range(n)):
-        dest = [0] * m
-        for p, (i, j) in enumerate(pairs):
-            dest[m - 1 - p] = 1 << pos[(perm[i], perm[j])]
-        maps.append(tuple(dest))
-    return tuple(maps)
-
-
 def _enumerate_masks(n: int, keep: Callable[[list[int]], bool], dedup: bool) -> Iterator[Graph]:
-    m = n * (n - 1) // 2
-    full = (1 << n) - 1
-    visited = bytearray(1 << m) if dedup else None
-    pmaps = _perm_bit_maps(n) if dedup else ()
-    for mask in range(1 << m):
-        if visited is not None and visited[mask]:
-            continue
-        rows = _mask_rows(n, mask)
-        if not keep(rows):
-            continue
-        if visited is not None:
-            for pm in pmaps:
-                mm = mask
-                acc = 0
-                while mm:
-                    b = mm & -mm
-                    acc |= pm[b.bit_length() - 1]
-                    mm ^= b
-                visited[acc] = 1
-        yield Graph(n, tuple(rows))
+    # keep must be an isomorphism invariant.  Without dedup, the labeled
+    # walk; with it, vertex extension by a minimum-degree vertex (see the
+    # module docstring), then the last level's canonical masks in order.
+    if not dedup:
+        for mask in range(1 << (n * (n - 1) // 2)):
+            rows = _mask_rows(n, mask)
+            if keep(rows):
+                yield Graph(n, tuple(rows))
+        return
+    masks = {0}  # the order-0 graph, so K_1 is the first extension
+    for k in range(1, n + 1):
+        bit = 1 << (k - 1)
+        found = set()
+        for parent in masks:
+            rows = _mask_rows(k - 1, parent)
+            degrees = [r.bit_count() for r in rows]
+            for s in range(bit):
+                d = s.bit_count()
+                if any(d > deg + ((s >> i) & 1) for i, deg in enumerate(degrees)):
+                    continue
+                child = [r | bit if (s >> i) & 1 else r for i, r in enumerate(rows)]
+                child.append(s)
+                if k == n and not keep(child):
+                    continue
+                found.add(_columns_to_mask(_min_columns(Graph(k, tuple(child)))))
+        masks = found
+    for mask in sorted(masks):
+        yield Graph(n, tuple(_mask_rows(n, mask)))
 
 
 def enumerate_graphs(n: int, dedup: bool = True) -> Iterator[Graph]:
     """All order-n graphs with G and complement(G) both connected.
 
     With dedup on, one representative per isomorphism class (the canonical
-    labeling) in ascending canonical order; otherwise every labeled graph,
-    ascending by triangle bit string.  Built-in range is 2 <= n <= 7.
+    labeling) in ascending canonical order, built by vertex extension (see
+    the module docstring); otherwise every labeled graph, ascending by
+    triangle bit string.  Built-in range is 2 <= n <= 7.
     """
     if not 2 <= n <= BUILTIN_MAX_VERTICES:
         raise ValueError(
@@ -133,7 +131,7 @@ def enumerate_graphs(n: int, dedup: bool = True) -> Iterator[Graph]:
 
 
 def enumerate_connected_graphs(n: int, dedup: bool = True) -> Iterator[Graph]:
-    """All connected order-n graphs, complement unconstrained (1 <= n <= 7)."""
+    """All connected order-n graphs (1 <= n <= 7), listed as by enumerate_graphs."""
     if not 1 <= n <= BUILTIN_MAX_VERTICES:
         raise ValueError(f"built-in enumeration covers 1..{BUILTIN_MAX_VERTICES}")
     full = (1 << n) - 1

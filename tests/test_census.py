@@ -28,6 +28,7 @@ from strategies import all_labeled_graphs, perm_min_edge_key
 # record order or the CSV format fails here
 N5_LABELED_CSV_SHA256 = "5fdf447ad7dddc1584e0bd82fab9c980958b391fc9df8db92461315e6203313c"
 N6_DEDUP_CSV_SHA256 = "9013eb137b49c01928fefa82e2e160c74e86f2175890f223139f0ae9bc2b4ae9"
+N7_DEDUP_CSV_SHA256 = "078a929995d88bc3cc0dd41717aa654ea4d948a8784c6aafa066615669e7d57b"
 
 
 def csv_sha256(records) -> str:
@@ -56,7 +57,7 @@ def test_enumeration_range_validation():
 
 def test_n5_classes_match_naive_enumeration():
     # independent grouping: permutation-minimized edge tuples over all 1024
-    # labeled graphs, against the orbit-marking enumerator
+    # labeled graphs, against the vertex-extension enumerator
     from rainbowvc import is_connected
 
     naive = set()
@@ -72,7 +73,7 @@ def test_n5_classes_match_naive_enumeration():
 
 
 def test_dedup_reps_are_canonical_and_ascending():
-    for n in (4, 5, 6):
+    for n in (4, 5, 6, 7):
         masks = []
         for g in enumerate_graphs(n, dedup=True):
             assert canonical_representative(g) == g
@@ -88,8 +89,46 @@ def test_labeled_enumeration_counts():
 
 
 def test_connected_enumeration_counts():
-    counts = [len(list(enumerate_connected_graphs(n, dedup=True))) for n in range(1, 7)]
-    assert counts == [1, 1, 2, 6, 21, 112]
+    # OEIS A001349
+    counts = [len(list(enumerate_connected_graphs(n, dedup=True))) for n in range(1, 8)]
+    assert counts == [1, 1, 2, 6, 21, 112, 853]
+
+
+def test_dedup_classes_match_labeled_walk():
+    # one class per canonical form met by the labeled walk, and no other
+    cases = [(enumerate_graphs, n) for n in range(2, 7)]
+    cases += [(enumerate_connected_graphs, n) for n in range(1, 6)]
+    for enumerate_fn, n in cases:
+        labeled = {canonical_form(g) for g in enumerate_fn(n, dedup=False)}
+        reps = [canonical_form(g) for g in enumerate_fn(n, dedup=True)]
+        assert len(reps) == len(set(reps))
+        assert set(reps) == labeled
+
+
+def test_dedup_classes_match_networkx_atlas():
+    # the atlas lists every graph on up to 7 vertices once up to isomorphism;
+    # each class must match exactly one atlas graph, tested by networkx alone
+    nx = pytest.importorskip("networkx")
+
+    def invariant(h):
+        return tuple(sorted(d for _, d in h.degree())), tuple(sorted(nx.triangles(h).values()))
+
+    atlas = {}
+    for h in nx.graph_atlas_g():
+        n = h.number_of_nodes()
+        if n >= 4 and nx.is_connected(h) and nx.is_connected(nx.complement(h)):
+            atlas.setdefault(n, {}).setdefault(invariant(h), []).append(h)
+    for n, want in ((4, 1), (5, 8), (6, 68), (7, 662)):
+        buckets = atlas[n]
+        assert sum(map(len, buckets.values())) == want
+        reps = list(enumerate_graphs(n, dedup=True))
+        assert len(reps) == want
+        for g in reps:
+            ref = nx.from_graph6_bytes(to_graph6(g).encode("ascii"))
+            bucket = buckets.get(invariant(ref), [])
+            matches = [h for h in bucket if nx.is_isomorphic(ref, h)]
+            assert len(matches) == 1, to_graph6(g)
+            bucket.remove(matches[0])
 
 
 # --- ingestion ---------------------------------------------------------------
@@ -216,6 +255,11 @@ def test_census_ingested_n9_above_canonical_limit():
     records, summary = census_run(ingest_graph6([to_graph6(g)]), 9)
     assert summary.total_pairs == 1
     assert records[0].sum == 2 and records[0].bounds_ok
+
+
+def test_census_n7_dedup_csv_pinned():
+    records, _ = census_run(enumerate_graphs(7, dedup=True), 7)
+    assert csv_sha256(records) == N7_DEDUP_CSV_SHA256
 
 
 def test_census_diameters_match_networkx():
