@@ -19,7 +19,9 @@ orders come in as graph6 lines from an external generator.
 Per-graph work is pure, so a census can be sharded across worker
 processes; records are sorted by graph6 string afterwards, which makes the
 output byte-identical for any worker count.  Each record solves G and its
-complement once; the diameters come from those solves' all-pairs BFS.
+complement once; the complement built for the both-sides-connected check
+is the one solved, and the diameters come from those solves' all-pairs
+BFS.
 """
 
 import multiprocessing
@@ -167,9 +169,9 @@ def ingest_graph6(
 
 # --- per-record computation ---------------------------------------------------
 
-def _compute_record(g: Graph) -> CensusRecord:
+def _compute_record(g: Graph, gbar: Graph) -> CensusRecord:
     a = rvc_exact(g)
-    b = rvc_exact(complement(g))
+    b = rvc_exact(gbar)
     total = a.value + b.value
     return CensusRecord(
         graph6=to_graph6(g),
@@ -192,21 +194,22 @@ def census_run(
     Records come back sorted by graph6 string regardless of stream order or
     worker count.
     """
-    graphs: list[Graph] = []
+    pairs: list[tuple[Graph, Graph]] = []
     for g in source:
         if g.n != n:
             raise ValueError(f"stream mixes orders: expected {n}, got {g.n}")
-        if not is_connected(g) or not is_connected(complement(g)):
+        gbar = complement(g)
+        if not is_connected(g) or not is_connected(gbar):
             raise ValueError(
                 f"stream graph {to_graph6(g)} fails the both-sides-connected precondition"
             )
-        graphs.append(g)
-    if workers > 1 and len(graphs) > 1:
-        chunk = max(1, len(graphs) // (workers * 8))
+        pairs.append((g, gbar))
+    if workers > 1 and len(pairs) > 1:
+        chunk = max(1, len(pairs) // (workers * 8))
         with multiprocessing.Pool(processes=workers) as pool:
-            records = pool.map(_compute_record, graphs, chunksize=chunk)
+            records = pool.starmap(_compute_record, pairs, chunksize=chunk)
     else:
-        records = [_compute_record(g) for g in graphs]
+        records = [_compute_record(g, gbar) for g, gbar in pairs]
     records.sort(key=lambda r: r.graph6)
     return records, _summarize(records, n)
 

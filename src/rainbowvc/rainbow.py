@@ -8,21 +8,42 @@ satisfies diam(g) - 1 <= rvc(g) <= n - 2 for connected non-complete g.
 
 Two independent path checkers are provided.  The fast one searches the
 state space (current vertex, set of colors used by internal vertices so
-far); since internal colors are pairwise distinct along any accepted walk,
-the internal vertices are automatically distinct, so every accepted state
-sequence corresponds to a simple path.  The oracle enumerates all simple
-paths outright and exists purely to cross-examine the fast checker.
+far); on a full coloring, internal colors are pairwise distinct along any
+accepted walk, so the internal vertices are automatically distinct and
+every accepted state sequence corresponds to a simple path.  The oracle
+enumerates all simple paths outright and exists purely to cross-examine
+the fast checker.
+
+The fast checker reads one color bitmask per vertex, 0 meaning uncolored.
+An uncolored vertex is a wildcard that clashes with no color, which makes
+the check a relaxation: if some completion of a partial coloring has a
+rainbow s-t path, its internal vertices carry distinct colors, so their
+colored subset does too, and the relaxed search reaches t along the same
+vertices (its used-color set is a subset of the completion's at each
+step).  An accepted walk may repeat uncolored vertices, which only makes
+the check accept more.  Contrapositively, a pair that fails the relaxed
+check fails under every completion.  With every vertex colored the check
+is exact.
 
 The solver enumerates candidate colorings as restricted growth strings
 (vertex 0 fixed to color 0, each later vertex at most one above the
 running maximum, capped at k colors), which quotients out the k! color
-renamings.  Candidates are tested whole; rainbow connectivity is not
-monotone under extending partial colorings, so there is nothing sound to
-prune inside a candidate beyond checking the far-apart pairs first.
+renamings, depth first in lexicographic order.  Each search over one k
+keeps a list of culprits: every pair that was the first, in distance
+order, to fail the exact check at some complete coloring.  After each
+vertex is colored the culprits get the relaxed check, and by the argument
+above a failing culprit rules out every completion of the prefix, so the
+subtree is skipped.  A complete coloring that survives still gets the
+exact check over all pairs.  Only colorings that cannot pass are skipped
+and the order of the rest is unchanged, so the first coloring to pass,
+and with it every witness and every rvc value, is the one the unpruned
+scan finds.  Culprits only, not all pairs, get the relaxed check: most
+searches pass at their first complete coloring, and while the culprit
+list is empty the check costs nothing.
 """
 
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from .graphs import Graph, _distance_matrix, is_complete, iter_bits
 
@@ -90,16 +111,18 @@ def _check_coloring(g: Graph, coloring: VertexColoring) -> None:
         )
 
 
-def _path_exists(adj: Sequence[int], colors: Sequence[int], s: int, t: int) -> bool:
-    # States are (vertex, used-color bitmask) pairs packed into one int; the
-    # vertex fits in 6 bits because n <= 64.  At most n * 2^k states exist.
+def _path_exists(adj: Sequence[int], bits: Sequence[int], s: int, t: int) -> bool:
+    # bits[v] is vertex v's color as a one-bit mask, 0 if uncolored (see the
+    # module docstring).  States are (vertex, used-color bitmask) pairs
+    # packed into one int; the vertex fits in 6 bits because n <= 64.  At
+    # most n * 2^k states exist.
     if (adj[s] >> t) & 1:
         return True
     excl = ~((1 << s) | (1 << t))
     stack: list[tuple[int, int]] = []
     seen: set[int] = set()
     for v in iter_bits(adj[s] & excl):
-        used = 1 << colors[v]
+        used = bits[v]
         key = (used << 6) | v
         seen.add(key)
         stack.append((v, used))
@@ -108,7 +131,7 @@ def _path_exists(adj: Sequence[int], colors: Sequence[int], s: int, t: int) -> b
         if (adj[v] >> t) & 1:
             return True
         for w in iter_bits(adj[v] & excl):
-            cb = 1 << colors[w]
+            cb = bits[w]
             if used & cb:
                 continue
             key = ((used | cb) << 6) | w
@@ -116,6 +139,10 @@ def _path_exists(adj: Sequence[int], colors: Sequence[int], s: int, t: int) -> b
                 seen.add(key)
                 stack.append((w, used | cb))
     return False
+
+
+def _color_bits(colors: Sequence[int]) -> list[int]:
+    return [1 << c for c in colors]
 
 
 def exists_rainbow_path(g: Graph, coloring: VertexColoring, s: int, t: int) -> bool:
@@ -129,7 +156,7 @@ def exists_rainbow_path(g: Graph, coloring: VertexColoring, s: int, t: int) -> b
         return True
     if coloring.k == 0:
         return False
-    return _path_exists(g.adj, coloring.colors, s, t)
+    return _path_exists(g.adj, _color_bits(coloring.colors), s, t)
 
 
 def exists_rainbow_path_oracle(g: Graph, coloring: VertexColoring, s: int, t: int) -> bool:
@@ -173,13 +200,13 @@ def _pairs_by_distance(dist: Sequence[Sequence[int]]) -> list[tuple[int, int]]:
     return [(s, t) for _, s, t in keyed]
 
 
-def _rainbow_for_colors(
-    adj: Sequence[int], colors: Sequence[int], pairs: Sequence[tuple[int, int]]
-) -> bool:
-    for s, t in pairs:
-        if not _path_exists(adj, colors, s, t):
-            return False
-    return True
+def _first_failing(
+    adj: Sequence[int], bits: Sequence[int], pairs: Sequence[tuple[int, int]]
+) -> Optional[tuple[int, int]]:
+    for pair in pairs:
+        if not _path_exists(adj, bits, *pair):
+            return pair
+    return None
 
 
 def is_rainbow_vertex_connected(g: Graph, coloring: VertexColoring) -> bool:
@@ -192,7 +219,8 @@ def is_rainbow_vertex_connected(g: Graph, coloring: VertexColoring) -> bool:
         return True
     if coloring.k == 0:
         return is_complete(g)
-    return _rainbow_for_colors(g.adj, coloring.colors, _pairs_by_distance(dist))
+    bits = _color_bits(coloring.colors)
+    return _first_failing(g.adj, bits, _pairs_by_distance(dist)) is None
 
 
 def find_failing_pair(g: Graph, coloring: VertexColoring) -> Optional[tuple[int, int]]:
@@ -205,12 +233,21 @@ def find_failing_pair(g: Graph, coloring: VertexColoring) -> Optional[tuple[int,
     return None
 
 
-def rgs_colorings(n: int, k: int) -> Iterator[tuple[int, ...]]:
+def rgs_colorings(
+    n: int, k: int, prune: Optional[Callable[[list[int], int], bool]] = None
+) -> Iterator[tuple[int, ...]]:
     """All colorings of n vertices with at most k colors, up to color renaming.
 
     Restricted growth order: vertex 0 gets color 0 and vertex i may use at
     most one color beyond the maximum used so far.  Yields in lexicographic
     order, which fixes the deterministic tie-break for witnesses.
+
+    With ``prune``, ``prune(buf, i)`` is called each time vertex i (0
+    included) has been given its color in the list ``buf``, where
+    ``buf[:i + 1]`` is the current prefix and later entries are stale.  When
+    it returns True, no coloring extending that prefix is yielded; the
+    others come out in the same order as without the hook.  ``prune`` must
+    not modify ``buf``.
     """
     if n < 1 or k < 1:
         return
@@ -223,18 +260,34 @@ def rgs_colorings(n: int, k: int) -> Iterator[tuple[int, ...]]:
         top = min(mx + 1, k - 1)
         for c in range(top + 1):
             buf[i] = c
+            if prune is not None and prune(buf, i):
+                continue
             yield from grow(i + 1, mx if c <= mx else c)
 
-    yield from grow(1, 0)
+    if prune is None or not prune(buf, 0):
+        yield from grow(1, 0)
 
 
 def _search(g: Graph, k: int, pairs: Sequence[tuple[int, int]]) -> Optional[VertexColoring]:
-    # rgs_colorings is looked up as a module global on every call, so a
-    # wrapper installed over it sees every search.
+    # Depth-first restricted-growth search pruned by the culprit rule of the
+    # module docstring.  rgs_colorings is looked up as a module global on
+    # every call, so a wrapper installed over it sees every search.
     adj = g.adj
-    for colors in rgs_colorings(g.n, k):
-        if _rainbow_for_colors(adj, colors, pairs):
+    n = g.n
+    culprits: list[tuple[int, int]] = []
+
+    def prune(buf: list[int], i: int) -> bool:
+        if not culprits:
+            return False
+        bits = _color_bits(buf[: i + 1]) + [0] * (n - 1 - i)
+        return _first_failing(adj, bits, culprits) is not None
+
+    for colors in rgs_colorings(n, k, prune):
+        pair = _first_failing(adj, _color_bits(colors), pairs)
+        if pair is None:
             return VertexColoring(k, colors)
+        # prune(buf, n - 1) just passed every culprit, so this pair is new
+        culprits.append(pair)
     return None
 
 

@@ -1,4 +1,5 @@
 import random
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,6 +21,7 @@ from rainbowvc import (
     rvc_exact,
 )
 from rainbowvc.constructions import complete_graph, cycle_graph, path_graph, star_graph
+from rainbowvc.rainbow import _path_exists
 
 from strategies import colored_graphs, graphs, oracle_is_rainbow, rvc_brute
 
@@ -90,6 +92,31 @@ def test_checker_agrees_with_oracle(gc):
             )
 
 
+def test_relaxed_check_is_sound_for_partial_colorings():
+    # An uncolored vertex (bit 0) is a wildcard: when the relaxed check
+    # rejects a pair, no completion of the partial coloring may connect it.
+    rng = random.Random(20261018)
+    rejected = 0
+    for _ in range(400):
+        n = rng.randint(3, 6)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        g = from_edges(n, [p for p in pairs if rng.random() < 0.5])
+        k = rng.randint(1, 3)
+        partial = [rng.randrange(k) if rng.random() < 0.6 else None for _ in range(n)]
+        bits = [0 if c is None else 1 << c for c in partial]
+        free = [v for v in range(n) if partial[v] is None]
+        for s, t in pairs:
+            if _path_exists(g.adj, bits, s, t):
+                continue
+            rejected += 1
+            for fill in product(range(k), repeat=len(free)):
+                colors = list(partial)
+                for v, c in zip(free, fill):
+                    colors[v] = c
+                assert not exists_rainbow_path_oracle(g, VertexColoring(k, tuple(colors)), s, t)
+    assert rejected > 100
+
+
 def test_checker_agrees_with_oracle_n7_n8_samples():
     rng = random.Random(20240801)
     for _ in range(1000):
@@ -145,6 +172,19 @@ def test_rgs_enumeration_small():
     assert list(rgs_colorings(2, 0)) == []
 
 
+@pytest.mark.parametrize("n,k", [(1, 2), (4, 2), (5, 3), (6, 4)])
+def test_rgs_prune_skips_exactly_the_extensions(n, k):
+    full = list(rgs_colorings(n, k))
+    assert list(rgs_colorings(n, k, prune=lambda buf, i: False)) == full
+    for i in range(n):
+        for prefix in sorted({c[: i + 1] for c in full}):
+            def prune(buf, j, i=i, prefix=prefix):
+                return j == i and tuple(buf[: i + 1]) == prefix
+
+            kept = list(rgs_colorings(n, k, prune=prune))
+            assert kept == [c for c in full if c[: i + 1] != prefix]
+
+
 def test_find_rainbow_coloring_complete_zero():
     assert find_rainbow_coloring(complete_graph(4), 0) == VertexColoring(0, ())
     assert find_rainbow_coloring(path_graph(3), 0) is None
@@ -191,7 +231,7 @@ def test_rvc_complete_graphs_are_zero():
     assert res.witness == VertexColoring(0, ())
 
 
-@pytest.mark.parametrize("n", range(3, 9))
+@pytest.mark.parametrize("n", range(3, 14))
 def test_rvc_paths(n):
     assert rvc_exact(path_graph(n)).value == n - 2
 
@@ -208,6 +248,36 @@ def test_rvc_cycles_with_slack():
     assert res.value == 3
     assert res.lower_bound_reason == "exhausted-k"
     assert res.exhausted == (2,)
+
+
+# values the unpruned search gave; C_7 and C_11 refute one k below them
+CYCLE_RVC = {3: 0, 4: 1, 5: 1, 6: 2, 7: 3, 8: 3, 9: 3, 10: 4, 11: 5, 12: 5}
+
+
+@pytest.mark.parametrize("n", sorted(CYCLE_RVC))
+def test_rvc_cycles_pinned(n):
+    res = rvc_exact(cycle_graph(n))
+    assert res.value == CYCLE_RVC[n]
+    assert res.exhausted == {7: (2,), 11: (4,)}.get(n, ())
+
+
+def test_search_matches_unpruned_oracle_scan():
+    # The pruned search must return the first restricted-growth coloring,
+    # unpruned and in order, that the brute-force oracle accepts.
+    from rainbowvc import enumerate_connected_graphs
+
+    checked = 0
+    for n in range(3, 7):
+        for g in enumerate_connected_graphs(n, dedup=True):
+            for k in range(1, n - 1):
+                expected = next(
+                    (c for c in rgs_colorings(n, k) if oracle_is_rainbow(g, VertexColoring(k, c))),
+                    None,
+                )
+                found = find_rainbow_coloring(g, k)
+                assert (found.colors if found else None) == expected
+                checked += 1
+    assert checked == 2 * 1 + 6 * 2 + 21 * 3 + 112 * 4
 
 
 def test_rvc_diameter_matches_networkx():
