@@ -36,12 +36,10 @@ from .graphs import (
     CANONICAL_MAX_VERTICES,
     GRAPH6_MAX_VERTICES,
     MAX_VERTICES,
-    CanonicalForm,
     Graph,
     Graph6Error,
     add_vertex,
     bfs_distances,
-    canonical_form,
     canonical_representative,
     complement,
     diameter,
@@ -64,7 +62,6 @@ from .rainbow import (
     exists_rainbow_path_oracle,
     find_failing_pair,
     find_rainbow_coloring,
-    is_rainbow_vertex_connected,
     rgs_colorings,
     rvc_exact,
 )

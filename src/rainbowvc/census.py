@@ -31,9 +31,8 @@ from typing import Callable, Iterable, Iterator, Optional
 from .graphs import (
     Graph,
     Graph6Error,
-    _columns_to_mask,
+    _canonical_mask,
     _mask_rows,
-    _min_columns,
     _rows_connected,
     complement,
     is_connected,
@@ -102,7 +101,7 @@ def _enumerate_masks(n: int, keep: Callable[[list[int]], bool], dedup: bool) -> 
                 child.append(s)
                 if k == n and not keep(child):
                     continue
-                found.add(_columns_to_mask(_min_columns(Graph(k, tuple(child)))))
+                found.add(_canonical_mask(child))
         masks = found
     for mask in sorted(masks):
         yield Graph(n, tuple(_mask_rows(n, mask)))

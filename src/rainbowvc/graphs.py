@@ -2,13 +2,13 @@
 
 Vertices are labeled 0..n-1 and each adjacency row is a Python int used as
 a bitset, which caps the order at 64 but keeps traversal loops branch-light.
-The module also provides a bit-exact graph6 codec (single-byte header
-variant, n <= 62) and an exact canonical form for n <= 8 obtained by
-minimizing the upper-triangle bit string over all vertex relabelings.
+The upper triangle of the adjacency matrix packs into one int in graph6
+bit order.  On that packing the module builds a bit-exact graph6 codec
+(single-byte header variant, n <= 62) and an exact canonical form for
+n <= 8: the least packed mask over all vertex relabelings.
 """
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 MAX_VERTICES = 64
@@ -52,18 +52,6 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, edges={edge_list(self)})"
-
-
-@dataclass(frozen=True, order=True)
-class CanonicalForm:
-    """Lexicographically minimal upper-triangle bit string over all relabelings.
-
-    The order is part of the value so that forms of different orders never
-    compare equal (an empty triangle packs to identical bytes for small n).
-    """
-
-    n: int
-    bytes: bytes
 
 
 def iter_bits(x: int) -> Iterator[int]:
@@ -183,48 +171,31 @@ def diameter(g: Graph) -> int:
 
 # --- upper-triangle bit packing -------------------------------------------
 #
-# Pair p runs over the upper triangle in column order (0,1), (0,2), (1,2),
-# (0,3), ..., the same order graph6 uses.  Bit p of the packed mask sits at
-# position m-1-p (first pair is the most significant bit), so ascending
-# integer order on masks equals lexicographic order on the bit strings and,
-# for fixed n, on graph6 strings.
-
-@lru_cache(maxsize=None)
-def _pair_table(n: int) -> tuple[tuple[int, int], ...]:
-    return tuple((i, j) for j in range(1, n) for i in range(j))
-
-
-@lru_cache(maxsize=None)
-def _bit_pairs(n: int) -> tuple[tuple[int, int], ...]:
-    pairs = _pair_table(n)
-    m = len(pairs)
-    out: list[tuple[int, int]] = [(0, 0)] * m
-    for p, ij in enumerate(pairs):
-        out[m - 1 - p] = ij
-    return tuple(out)
-
+# Column j (1 <= j < n) holds the pairs (0, j), (1, j), ..., (j-1, j), vertex
+# 0 as its most significant bit, and the mask is column 1, then column 2,
+# and so on: graph6 order.  The first pair is the most significant bit, so
+# ascending integer order on masks equals lexicographic order on the bit
+# strings and, for fixed n, on graph6 strings.
 
 def triangle_mask(g: Graph) -> int:
     """Pack the upper triangle of the adjacency matrix into one int."""
-    pairs = _pair_table(g.n)
-    m = len(pairs)
     adj = g.adj
     mask = 0
-    for p, (i, j) in enumerate(pairs):
-        if (adj[i] >> j) & 1:
-            mask |= 1 << (m - 1 - p)
+    for j in range(1, g.n):
+        for i in range(j):
+            mask = (mask << 1) | ((adj[i] >> j) & 1)
     return mask
 
 
 def _mask_rows(n: int, mask: int) -> list[int]:
+    # Inverse of triangle_mask: the least significant bit is pair (n-2, n-1).
     rows = [0] * n
-    bp = _bit_pairs(n)
-    while mask:
-        b = mask & -mask
-        i, j = bp[b.bit_length() - 1]
-        rows[i] |= 1 << j
-        rows[j] |= 1 << i
-        mask ^= b
+    for j in range(n - 1, 0, -1):
+        for i in range(j - 1, -1, -1):
+            if mask & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+            mask >>= 1
     return rows
 
 
@@ -284,14 +255,14 @@ def parse_graph6(text: str) -> Graph:
 
 # --- canonical form ---------------------------------------------------------
 
-def _min_columns(g: Graph) -> list[int]:
+def _min_columns(n: int, adj: Sequence[int]) -> list[int]:
     # Branch-and-bound over partial relabelings.  Positions are filled left to
     # right; the triangle column of position j is fully determined by the
     # vertices already placed, so any branch whose column exceeds the best
-    # known value at that level can be cut.  On the live path cols[i] always
-    # equals best[i] for i < j (a strictly smaller column overwrites best and
-    # clears the deeper levels), which keeps the pruning sound.
-    n, adj = g.n, g.adj
+    # known value at that level can be cut.  On the live path the column of
+    # each position i < j always equals best[i] (a strictly smaller column
+    # overwrites best and clears the deeper levels), which keeps the pruning
+    # sound.
     if n == 1:
         return []
     order = sorted(range(n), key=lambda v: (bin(adj[v]).count("1"), v))
@@ -330,25 +301,21 @@ def _columns_to_mask(cols: list[int]) -> int:
     return mask
 
 
-def canonical_form(g: Graph) -> CanonicalForm:
-    """Exact canonical form by minimization over all n! relabelings (n <= 8)."""
-    if g.n > CANONICAL_MAX_VERTICES:
-        raise ValueError(
-            f"canonical_form is only guaranteed for n <= {CANONICAL_MAX_VERTICES}, got {g.n}"
-        )
-    m = g.n * (g.n - 1) // 2
-    mask = _columns_to_mask(_min_columns(g))
-    nbytes = (m + 7) // 8
-    return CanonicalForm(g.n, (mask << (nbytes * 8 - m)).to_bytes(nbytes, "big"))
+def _canonical_mask(rows: Sequence[int]) -> int:
+    # The least triangle mask over all relabelings of the graph on rows.
+    return _columns_to_mask(_min_columns(len(rows), rows))
 
 
 def canonical_representative(g: Graph) -> Graph:
-    """The relabeling of g whose triangle bit string is the canonical form."""
+    """The relabeling of g with the least triangle mask (n <= 8).
+
+    Two graphs are isomorphic iff their representatives are equal.
+    """
     if g.n > CANONICAL_MAX_VERTICES:
         raise ValueError(
-            f"canonical_form is only guaranteed for n <= {CANONICAL_MAX_VERTICES}, got {g.n}"
+            f"the canonical form is only guaranteed for n <= {CANONICAL_MAX_VERTICES}, got {g.n}"
         )
-    return from_triangle_mask(g.n, _columns_to_mask(_min_columns(g)))
+    return from_triangle_mask(g.n, _canonical_mask(g.adj))
 
 
 def relabel(g: Graph, perm: Iterable[int]) -> Graph:

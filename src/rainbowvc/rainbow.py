@@ -209,28 +209,19 @@ def _first_failing(
     return None
 
 
-def is_rainbow_vertex_connected(g: Graph, coloring: VertexColoring) -> bool:
-    """True iff g is connected and every vertex pair has a rainbow path."""
-    _check_coloring(g, coloring)
-    dist = _distance_matrix(g)
-    if -1 in dist[0]:
-        return False
-    if g.n == 1:
-        return True
-    if coloring.k == 0:
-        return is_complete(g)
-    bits = _color_bits(coloring.colors)
-    return _first_failing(g.adj, bits, _pairs_by_distance(dist)) is None
-
-
 def find_failing_pair(g: Graph, coloring: VertexColoring) -> Optional[tuple[int, int]]:
-    """Lexicographically first pair with no rainbow path, or None."""
+    """Lexicographically first pair with no rainbow path, or None.
+
+    None means g is rainbow vertex-connected under the coloring; a
+    disconnected g always has a failing pair.
+    """
     _check_coloring(g, coloring)
-    for s in range(g.n):
-        for t in range(s + 1, g.n):
-            if not exists_rainbow_path(g, coloring, s, t):
-                return (s, t)
-    return None
+    n, adj = g.n, g.adj
+    pairs = [(s, t) for s in range(n) for t in range(s + 1, n)]
+    if coloring.k == 0:
+        # without colors a path may have no internal vertex
+        return next(((s, t) for s, t in pairs if not (adj[s] >> t) & 1), None)
+    return _first_failing(adj, _color_bits(coloring.colors), pairs)
 
 
 def rgs_colorings(

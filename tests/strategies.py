@@ -41,8 +41,8 @@ def all_labeled_graphs(n):
 def perm_min_edge_key(g):
     """Isomorphism key by direct minimization over relabeled edge tuples.
 
-    Deliberately avoids the bit-packing route used by canonical_form so the
-    two can cross-examine each other.
+    Deliberately avoids the triangle bit packing used by
+    canonical_representative so the two can cross-examine each other.
     """
     edges = [(i, j) for i in range(g.n) for j in range(i + 1, g.n) if g.has_edge(i, j)]
     best = None

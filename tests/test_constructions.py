@@ -2,7 +2,7 @@ from itertools import combinations
 
 import pytest
 
-from rainbowvc import canonical_form, complement, diameter, edge_count, rvc_exact
+from rainbowvc import canonical_representative, complement, diameter, edge_count, rvc_exact
 from rainbowvc.constructions import (
     complement_pair,
     complete_graph,
@@ -58,7 +58,9 @@ def test_p4_pair_overshoots_without_the_order_hypothesis():
 # --- diameter-two construction: the bottom of the range ----------------------
 
 def test_diameter_two_n5_is_the_five_cycle():
-    assert canonical_form(diameter_two_graph(5)) == canonical_form(cycle_graph(5))
+    assert canonical_representative(diameter_two_graph(5)) == canonical_representative(
+        cycle_graph(5)
+    )
 
 
 @pytest.mark.parametrize("n", range(5, 13))

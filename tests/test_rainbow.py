@@ -15,7 +15,6 @@ from rainbowvc import (
     find_failing_pair,
     find_rainbow_coloring,
     from_edges,
-    is_rainbow_vertex_connected,
     relabel,
     rgs_colorings,
     rvc_exact,
@@ -133,23 +132,23 @@ def test_checker_agrees_with_oracle_n7_n8_samples():
 # --- whole-graph checker ---------------------------------------------------
 
 def test_complete_graph_empty_palette():
-    assert is_rainbow_vertex_connected(complete_graph(5), VertexColoring(0, ()))
-    assert not is_rainbow_vertex_connected(path_graph(3), VertexColoring(0, ()))
+    assert find_failing_pair(complete_graph(5), VertexColoring(0, ())) is None
+    assert find_failing_pair(path_graph(3), VertexColoring(0, ())) == (0, 2)
 
 
 def test_p5_injective_internals():
-    assert is_rainbow_vertex_connected(path_graph(5), VertexColoring(3, (0, 0, 1, 2, 0)))
+    assert find_failing_pair(path_graph(5), VertexColoring(3, (0, 0, 1, 2, 0))) is None
 
 
 def test_p5_two_colors_never_enough():
     g = path_graph(5)
     for colors in rgs_colorings(5, 2):
-        assert not is_rainbow_vertex_connected(g, VertexColoring(2, colors))
+        assert find_failing_pair(g, VertexColoring(2, colors)) is not None
 
 
 def test_disconnected_is_not_rainbow_connected():
     g = from_edges(4, [(0, 1), (2, 3)])
-    assert not is_rainbow_vertex_connected(g, VertexColoring(4, (0, 1, 2, 3)))
+    assert find_failing_pair(g, VertexColoring(4, (0, 1, 2, 3))) == (0, 2)
 
 
 def test_find_failing_pair_lexicographic():
@@ -161,7 +160,7 @@ def test_find_failing_pair_lexicographic():
 @given(graphs(min_n=1, max_n=8, connected=True))
 def test_injective_coloring_always_works(g):
     c = VertexColoring(g.n, tuple(range(g.n)))
-    assert is_rainbow_vertex_connected(g, c)
+    assert find_failing_pair(g, c) is None
 
 
 # --- fixed-k search ------------------------------------------------------------
@@ -194,7 +193,7 @@ def test_find_rainbow_coloring_p5():
     assert find_rainbow_coloring(path_graph(5), 2) is None
     found = find_rainbow_coloring(path_graph(5), 3)
     assert found is not None
-    assert is_rainbow_vertex_connected(path_graph(5), found)
+    assert find_failing_pair(path_graph(5), found) is None
 
 
 def test_find_rainbow_coloring_c5_single_color():
@@ -304,7 +303,7 @@ def test_rvc_witness_passes_checker():
     for g in [path_graph(6), cycle_graph(7), star_graph(6)]:
         res = rvc_exact(g)
         assert res.witness.k == res.value
-        assert is_rainbow_vertex_connected(g, res.witness)
+        assert find_failing_pair(g, res.witness) is None
 
 
 def test_rvc_matches_brute_force_small():
