@@ -29,17 +29,29 @@ The solver enumerates candidate colorings as restricted growth strings
 (vertex 0 fixed to color 0, each later vertex at most one above the
 running maximum, capped at k colors), which quotients out the k! color
 renamings, depth first in lexicographic order.  Each search over one k
-keeps a list of culprits: every pair that was the first, in distance
-order, to fail the exact check at some complete coloring.  After each
-vertex is colored the culprits get the relaxed check, and by the argument
-above a failing culprit rules out every completion of the prefix, so the
-subtree is skipped.  A complete coloring that survives still gets the
-exact check over all pairs.  Only colorings that cannot pass are skipped
-and the order of the rest is unchanged, so the first coloring to pass,
-and with it every witness and every rvc value, is the one the unpruned
-scan finds.  Culprits only, not all pairs, get the relaxed check: most
-searches pass at their first complete coloring, and while the culprit
-list is empty the check costs nothing.
+keeps its culprits, in the order found: every pair that was the first,
+in distance order, to fail the exact check at some complete coloring.
+After each vertex is colored the culprits get the relaxed check, and by
+the argument above a failing culprit rules out every completion of the
+prefix, so the subtree is skipped.  A complete coloring that survives
+still gets the exact check over all pairs.  Only colorings that cannot
+pass are skipped and the order of the rest is unchanged, so the first
+coloring to pass, and with it every witness and every rvc value, is the
+one the unpruned scan finds.  Culprits only, not all pairs, get the
+relaxed check: most searches pass at their first complete coloring, and
+while there are no culprits the check only records the new color.
+
+The fast checker returns the internal vertices of the walk it accepted,
+and each search keeps every culprit's last accepted walk.  At the next
+prefix the walk is checked again in time linear in its length: it is
+still good if its colored internal vertices carry pairwise distinct colors,
+a colored vertex met twice counting as a clash.  The graph and the
+culprit's endpoints do not change within a search, so a still-good walk
+is exactly a walk the relaxed search would accept on the new prefix; the
+culprit passes without a search, as it would have with one.  Otherwise the
+search runs and its walk, if any, replaces the cached one.  Every prune
+decision is therefore the one the uncached check makes, and the leaves
+reached, their order and the witnesses are unchanged.
 """
 
 from dataclasses import dataclass
@@ -111,34 +123,52 @@ def _check_coloring(g: Graph, coloring: VertexColoring) -> None:
         )
 
 
-def _path_exists(adj: Sequence[int], bits: Sequence[int], s: int, t: int) -> bool:
-    # bits[v] is vertex v's color as a one-bit mask, 0 if uncolored (see the
-    # module docstring).  States are (vertex, used-color bitmask) pairs
-    # packed into one int; the vertex fits in 6 bits because n <= 64.  At
-    # most n * 2^k states exist.
+def _rainbow_walk(
+    adj: Sequence[int], bits: Sequence[int], s: int, t: int
+) -> Optional[list[int]]:
+    # Internal vertices, s side first, of a walk the relaxed check accepts
+    # (see the module docstring), or None.  bits[v] is vertex v's color as a
+    # one-bit mask, 0 if uncolored.  States are (vertex, used-color bitmask)
+    # pairs packed into one int; the vertex fits in 6 bits because n <= 64.
+    # At most n * 2^k states exist; parent maps each to the state it was
+    # reached from, -1 for the first step out of s.
     if (adj[s] >> t) & 1:
-        return True
+        return []
     excl = ~((1 << s) | (1 << t))
-    stack: list[tuple[int, int]] = []
-    seen: set[int] = set()
-    for v in iter_bits(adj[s] & excl):
-        used = bits[v]
-        key = (used << 6) | v
-        seen.add(key)
-        stack.append((v, used))
+    stack: list[int] = []
+    parent: dict[int, int] = {}
+    rest = adj[s] & excl
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        v = low.bit_length() - 1
+        key = (bits[v] << 6) | v
+        parent[key] = -1
+        stack.append(key)
     while stack:
-        v, used = stack.pop()
+        key = stack.pop()
+        v = key & 63
         if (adj[v] >> t) & 1:
-            return True
-        for w in iter_bits(adj[v] & excl):
+            walk = []
+            while key >= 0:
+                walk.append(key & 63)
+                key = parent[key]
+            walk.reverse()
+            return walk
+        used = key >> 6
+        rest = adj[v] & excl
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            w = low.bit_length() - 1
             cb = bits[w]
             if used & cb:
                 continue
-            key = ((used | cb) << 6) | w
-            if key not in seen:
-                seen.add(key)
-                stack.append((w, used | cb))
-    return False
+            nxt = ((used | cb) << 6) | w
+            if nxt not in parent:
+                parent[nxt] = key
+                stack.append(nxt)
+    return None
 
 
 def _color_bits(colors: Sequence[int]) -> list[int]:
@@ -156,7 +186,7 @@ def exists_rainbow_path(g: Graph, coloring: VertexColoring, s: int, t: int) -> b
         return True
     if coloring.k == 0:
         return False
-    return _path_exists(g.adj, _color_bits(coloring.colors), s, t)
+    return _rainbow_walk(g.adj, _color_bits(coloring.colors), s, t) is not None
 
 
 def exists_rainbow_path_oracle(g: Graph, coloring: VertexColoring, s: int, t: int) -> bool:
@@ -204,7 +234,7 @@ def _first_failing(
     adj: Sequence[int], bits: Sequence[int], pairs: Sequence[tuple[int, int]]
 ) -> Optional[tuple[int, int]]:
     for pair in pairs:
-        if not _path_exists(adj, bits, *pair):
+        if _rainbow_walk(adj, bits, *pair) is None:
             return pair
     return None
 
@@ -261,24 +291,41 @@ def rgs_colorings(
 
 def _search(g: Graph, k: int, pairs: Sequence[tuple[int, int]]) -> Optional[VertexColoring]:
     # Depth-first restricted-growth search pruned by the culprit rule of the
-    # module docstring.  rgs_colorings is looked up as a module global on
-    # every call, so a wrapper installed over it sees every search.
+    # module docstring, each culprit mapped to its last accepted walk (None
+    # until one is found).  bits holds the color bits of the current prefix,
+    # 0 past it.  rgs_colorings is looked up as a module global on every
+    # call, so a wrapper installed over it sees every search.
     adj = g.adj
     n = g.n
-    culprits: list[tuple[int, int]] = []
+    bits = [0] * n
+    culprits: dict[tuple[int, int], Optional[list[int]]] = {}
 
     def prune(buf: list[int], i: int) -> bool:
-        if not culprits:
-            return False
-        bits = _color_bits(buf[: i + 1]) + [0] * (n - 1 - i)
-        return _first_failing(adj, bits, culprits) is not None
+        bits[i] = 1 << buf[i]
+        bits[i + 1 :] = [0] * (n - 1 - i)
+        for pair, walk in culprits.items():
+            if walk is not None:
+                used = 0
+                for v in walk:
+                    cb = bits[v]
+                    if used & cb:
+                        break
+                    used |= cb
+                else:
+                    continue
+            walk = _rainbow_walk(adj, bits, *pair)
+            if walk is None:
+                return True
+            culprits[pair] = walk
+        return False
 
     for colors in rgs_colorings(n, k, prune):
-        pair = _first_failing(adj, _color_bits(colors), pairs)
+        pair = _first_failing(adj, bits, pairs)
         if pair is None:
             return VertexColoring(k, colors)
-        # prune(buf, n - 1) just passed every culprit, so this pair is new
-        culprits.append(pair)
+        # prune(buf, n - 1) just filled bits and passed every culprit, so
+        # this pair is new
+        culprits[pair] = None
     return None
 
 

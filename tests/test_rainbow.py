@@ -20,7 +20,8 @@ from rainbowvc import (
     rvc_exact,
 )
 from rainbowvc.constructions import complete_graph, cycle_graph, path_graph, star_graph
-from rainbowvc.rainbow import _path_exists
+from rainbowvc.graphs import _distance_matrix
+from rainbowvc.rainbow import _pairs_by_distance, _rainbow_walk
 
 from strategies import colored_graphs, graphs, oracle_is_rainbow, rvc_brute
 
@@ -105,7 +106,7 @@ def test_relaxed_check_is_sound_for_partial_colorings():
         bits = [0 if c is None else 1 << c for c in partial]
         free = [v for v in range(n) if partial[v] is None]
         for s, t in pairs:
-            if _path_exists(g.adj, bits, s, t):
+            if _rainbow_walk(g.adj, bits, s, t) is not None:
                 continue
             rejected += 1
             for fill in product(range(k), repeat=len(free)):
@@ -114,6 +115,42 @@ def test_relaxed_check_is_sound_for_partial_colorings():
                     colors[v] = c
                 assert not exists_rainbow_path_oracle(g, VertexColoring(k, tuple(colors)), s, t)
     assert rejected > 100
+
+
+def test_rainbow_walk_is_a_walk_the_relaxed_check_accepts():
+    # A returned walk leaves s, follows edges to t, avoids both endpoints
+    # and has pairwise distinct colors on its colored internal vertices
+    # (a colored vertex met twice clashes with itself).  Such a walk exists
+    # iff some simple s-t path has that property, since cutting out the
+    # stretch between two visits of one uncolored vertex keeps it; giving
+    # every uncolored vertex a color of its own turns that into the
+    # oracle's question, so None must come exactly where the oracle says no.
+    rng = random.Random(20261019)
+    walks = rejected = 0
+    for _ in range(400):
+        n = rng.randint(3, 7)
+        pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+        g = from_edges(n, [p for p in pairs if rng.random() < 0.5])
+        k = rng.randint(1, 3)
+        partial = [rng.randrange(k) if rng.random() < 0.6 else None for _ in range(n)]
+        bits = [0 if c is None else 1 << c for c in partial]
+        fresh = VertexColoring(k + n, tuple(k + v if c is None else c for v, c in enumerate(partial)))
+        for s, t in pairs:
+            walk = _rainbow_walk(g.adj, bits, s, t)
+            assert (walk is not None) == exists_rainbow_path_oracle(g, fresh, s, t)
+            if walk is None:
+                rejected += 1
+                continue
+            if (g.adj[s] >> t) & 1:
+                assert walk == []
+                continue
+            route = [s, *walk, t]
+            assert all((g.adj[u] >> v) & 1 for u, v in zip(route, route[1:]))
+            assert s not in walk and t not in walk
+            colored = [partial[v] for v in walk if partial[v] is not None]
+            assert len(set(colored)) == len(colored)
+            walks += 1
+    assert walks > 300 and rejected > 100
 
 
 def test_checker_agrees_with_oracle_n7_n8_samples():
@@ -249,15 +286,28 @@ def test_rvc_cycles_with_slack():
     assert res.exhausted == (2,)
 
 
-# values the unpruned search gave; C_7 and C_11 refute one k below them
-CYCLE_RVC = {3: 0, 4: 1, 5: 1, 6: 2, 7: 3, 8: 3, 9: 3, 10: 4, 11: 5, 12: 5}
+# C_3..C_12 are the values the unpruned search gave; C_13 and C_14 agree
+# with the closed form for rvc(C_n) of X. Li and S. Liu (Discrete Appl.
+# Math. 2014), ceil(n/2) - 1 for n = 13 and n/2 for n = 14.  C_7, C_11,
+# C_13 and C_14 refute one k below their value.
+CYCLE_RVC = {3: 0, 4: 1, 5: 1, 6: 2, 7: 3, 8: 3, 9: 3, 10: 4, 11: 5, 12: 5, 13: 6, 14: 7}
 
 
 @pytest.mark.parametrize("n", sorted(CYCLE_RVC))
 def test_rvc_cycles_pinned(n):
     res = rvc_exact(cycle_graph(n))
     assert res.value == CYCLE_RVC[n]
-    assert res.exhausted == {7: (2,), 11: (4,)}.get(n, ())
+    assert res.exhausted == {7: (2,), 11: (4,), 13: (5,), 14: (6,)}.get(n, ())
+
+
+def test_rvc_spider_is_n_minus_leaves():
+    # six legs of length 2 around vertex 0: a tree with n = 13 and 6 leaves,
+    # so rvc = n - #leaves = 7 (Krivelevich and Yuster); the diameter bound
+    # is 3, so 3..6 are refuted exhaustively
+    edges = [e for leg in range(6) for e in ((0, 2 * leg + 1), (2 * leg + 1, 2 * leg + 2))]
+    res = rvc_exact(from_edges(13, edges))
+    assert res.value == 7
+    assert res.exhausted == (3, 4, 5, 6)
 
 
 def test_search_matches_unpruned_oracle_scan():
@@ -275,6 +325,53 @@ def test_search_matches_unpruned_oracle_scan():
                 )
                 found = find_rainbow_coloring(g, k)
                 assert (found.colors if found else None) == expected
+                checked += 1
+    assert checked == 2 * 1 + 6 * 2 + 21 * 3 + 112 * 4
+
+
+def _uncached_leaves(g, k, pairs):
+    # the culprit search with a fresh relaxed check of every culprit on
+    # every prefix and no walk cache
+    n, adj = g.n, g.adj
+    culprits = []
+
+    def prune(buf, i):
+        bits = [1 << c for c in buf[: i + 1]] + [0] * (n - 1 - i)
+        return any(_rainbow_walk(adj, bits, s, t) is None for s, t in culprits)
+
+    leaves = []
+    for colors in rgs_colorings(n, k, prune):
+        leaves.append(colors)
+        bits = [1 << c for c in colors]
+        pair = next((p for p in pairs if _rainbow_walk(adj, bits, *p) is None), None)
+        if pair is None:
+            break
+        culprits.append(pair)
+    return leaves
+
+
+def test_walk_cache_reaches_the_same_leaves(monkeypatch):
+    # _search reuses each culprit's last accepted walk while it stays good;
+    # it must reach exactly the leaves, in order, of the search without it.
+    import rainbowvc.rainbow as rainbow
+    from rainbowvc import enumerate_connected_graphs
+
+    reached = []
+
+    def recording(n, k, prune=None):
+        for colors in rgs_colorings(n, k, prune):
+            reached.append(colors)
+            yield colors
+
+    monkeypatch.setattr(rainbow, "rgs_colorings", recording)
+    checked = 0
+    for n in range(3, 7):
+        for g in enumerate_connected_graphs(n, dedup=True):
+            pairs = _pairs_by_distance(_distance_matrix(g))
+            for k in range(1, n - 1):
+                reached.clear()
+                rainbow._search(g, k, pairs)
+                assert reached == _uncached_leaves(g, k, pairs)
                 checked += 1
     assert checked == 2 * 1 + 6 * 2 + 21 * 3 + 112 * 4
 
