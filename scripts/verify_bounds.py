@@ -18,6 +18,7 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parents[1] / "src"))
 
 from rainbowvc import (  # noqa: E402
+    BUILTIN_MAX_VERTICES,
     census_run,
     diameter,
     enumerate_graphs,
@@ -29,11 +30,15 @@ from rainbowvc import (  # noqa: E402
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--max-census-n", type=int, default=7, choices=range(4, 8))
+    parser.add_argument(
+        "--max-census-n", type=int, default=7, choices=range(4, BUILTIN_MAX_VERTICES + 1)
+    )
     parser.add_argument("--max-pair-n", type=int, default=12)
     parser.add_argument("--workers", type=int, default=1)
     parser.add_argument("--out-dir", default=None, help="write census CSVs here")
     args = parser.parse_args()
+    if args.workers < 1:
+        parser.error(f"--workers must be at least 1, got {args.workers}")
 
     failures = 0
 
@@ -62,7 +67,7 @@ def main() -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
     for n in range(4, args.max_census_n + 1):
         t0 = time.monotonic()
-        records, summary = census_run(enumerate_graphs(n, dedup=True), n, workers=args.workers)
+        records, summary = census_run(enumerate_graphs(n), n, workers=args.workers)
         elapsed = time.monotonic() - t0
         if n >= 5:
             ok = summary.max_sum == n - 1 and summary.min_sum == 2 and not summary.violations

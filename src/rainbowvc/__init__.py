@@ -39,11 +39,9 @@ from .graphs import (
     Graph,
     Graph6Error,
     add_vertex,
-    bfs_distances,
     canonical_representative,
     complement,
     diameter,
-    edge_count,
     edge_list,
     from_edges,
     from_triangle_mask,
@@ -61,7 +59,6 @@ from .rainbow import (
     exists_rainbow_path,
     exists_rainbow_path_oracle,
     find_failing_pair,
-    find_rainbow_coloring,
     rgs_colorings,
     rvc_exact,
 )

@@ -1,10 +1,11 @@
 """Exhaustive small-graph census of rvc(G) + rvc(G-bar).
 
-Built-in enumeration (n <= 7) either walks every labeled edge subset of
-K_n, or builds one graph per isomorphism class by vertex extension (after
-B. D. McKay, J. Algorithms 26 (1998)): from the order-0 graph, level k
-joins a new vertex to each order-(k-1) class over each neighbour set S and
-keeps one graph per canonical mask.  No class is lost:
+Built-in enumeration (n <= 7) builds one graph per isomorphism class by
+vertex extension (after B. D. McKay, J. Algorithms 26 (1998)): from the
+order-0 graph, level k joins a new vertex to each order-(k-1) class over
+each neighbour set S and keeps one graph per canonical mask.  The bound is
+invariant under relabeling, so one graph per class checks it for every
+labeled graph.  No class is lost:
 
 - S is kept only if the new vertex has minimum degree.  An order-k graph G
   minus a minimum-degree vertex v is isomorphic, by some phi, to a kept
@@ -76,16 +77,10 @@ CSV_HEADER = "graph6,n,rvc_g,rvc_gbar,sum,diam_g,diam_gbar,bounds_ok"
 
 # --- enumeration -------------------------------------------------------------
 
-def _enumerate_masks(n: int, keep: Callable[[list[int]], bool], dedup: bool) -> Iterator[Graph]:
-    # keep must be an isomorphism invariant.  Without dedup, the labeled
-    # walk; with it, vertex extension by a minimum-degree vertex (see the
-    # module docstring), then the last level's canonical masks in order.
-    if not dedup:
-        for mask in range(1 << (n * (n - 1) // 2)):
-            rows = _mask_rows(n, mask)
-            if keep(rows):
-                yield Graph(n, tuple(rows))
-        return
+def _enumerate_masks(n: int, keep: Callable[[list[int]], bool]) -> Iterator[Graph]:
+    # keep must be an isomorphism invariant.  Vertex extension by a
+    # minimum-degree vertex (see the module docstring), then the last
+    # level's canonical masks in order.
     masks = {0}  # the order-0 graph, so K_1 is the first extension
     for k in range(1, n + 1):
         bit = 1 << (k - 1)
@@ -107,13 +102,12 @@ def _enumerate_masks(n: int, keep: Callable[[list[int]], bool], dedup: bool) -> 
         yield Graph(n, tuple(_mask_rows(n, mask)))
 
 
-def enumerate_graphs(n: int, dedup: bool = True) -> Iterator[Graph]:
+def enumerate_graphs(n: int) -> Iterator[Graph]:
     """All order-n graphs with G and complement(G) both connected.
 
-    With dedup on, one representative per isomorphism class (the canonical
-    labeling) in ascending canonical order, built by vertex extension (see
-    the module docstring); otherwise every labeled graph, ascending by
-    triangle bit string.  Built-in range is 2 <= n <= 7.
+    One representative per isomorphism class (the canonical labeling) in
+    ascending canonical order, built by vertex extension (see the module
+    docstring).  Built-in range is 2 <= n <= 7.
     """
     if not 2 <= n <= BUILTIN_MAX_VERTICES:
         raise ValueError(
@@ -128,15 +122,15 @@ def enumerate_graphs(n: int, dedup: bool = True) -> Iterator[Graph]:
         crows = [full & ~r & ~(1 << i) for i, r in enumerate(rows)]
         return _rows_connected(crows, full)
 
-    return _enumerate_masks(n, keep, dedup)
+    return _enumerate_masks(n, keep)
 
 
-def enumerate_connected_graphs(n: int, dedup: bool = True) -> Iterator[Graph]:
+def enumerate_connected_graphs(n: int) -> Iterator[Graph]:
     """All connected order-n graphs (1 <= n <= 7), listed as by enumerate_graphs."""
     if not 1 <= n <= BUILTIN_MAX_VERTICES:
         raise ValueError(f"built-in enumeration covers 1..{BUILTIN_MAX_VERTICES}")
     full = (1 << n) - 1
-    return _enumerate_masks(n, lambda rows: _rows_connected(rows, full), dedup)
+    return _enumerate_masks(n, lambda rows: _rows_connected(rows, full))
 
 
 def ingest_graph6(

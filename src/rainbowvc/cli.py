@@ -146,12 +146,12 @@ def _cmd_census(args: argparse.Namespace) -> int:
             file=sys.stderr,
         )
     if args.builtin:
-        records, summary = census_run(
-            enumerate_graphs(args.n, dedup=args.dedup), args.n, workers=args.workers
-        )
+        records, summary = census_run(enumerate_graphs(args.n), args.n, workers=args.workers)
     else:
         errors: list[tuple[int, str]] = []
-        with open(args.file, "r", encoding="ascii") as fh:
+        # a non-ASCII byte decodes to U+FFFD, so its line fails in
+        # parse_graph6 and is reported with its line number
+        with open(args.file, "r", encoding="ascii", errors="replace") as fh:
             stream = ingest_graph6(fh, strict=args.strict, errors=errors)
             records, summary = census_run(stream, args.n, workers=args.workers)
         for lineno, message in errors:
@@ -196,7 +196,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--builtin", action="store_true", help="enumerate graphs internally (n <= 7)")
     p.add_argument("--file", default=None, help="graph6 lines, one graph per line")
-    p.add_argument("--dedup", action="store_true", help="one representative per isomorphism class")
+    p.add_argument("--dedup", action="store_true", help="no effect: --builtin always lists one graph per class")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out-csv", default=None)
     p.add_argument("--out-summary", default=None)

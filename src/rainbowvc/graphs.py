@@ -82,10 +82,6 @@ def edge_list(g: Graph) -> list[tuple[int, int]]:
     return [(i, j) for i in range(g.n) for j in iter_bits(g.adj[i]) if j > i]
 
 
-def edge_count(g: Graph) -> int:
-    return sum(bin(row).count("1") for row in g.adj) // 2
-
-
 def is_complete(g: Graph) -> bool:
     full = (1 << g.n) - 1
     return all(row == full ^ (1 << i) for i, row in enumerate(g.adj))
@@ -134,31 +130,28 @@ def is_connected(g: Graph) -> bool:
     return _rows_connected(g.adj, (1 << g.n) - 1)
 
 
-def bfs_distances(g: Graph, source: int) -> list[int]:
-    """Shortest-path distances from ``source``; -1 for unreachable vertices."""
-    if not 0 <= source < g.n:
-        raise ValueError(f"vertex {source} outside 0..{g.n - 1}")
-    adj = g.adj
-    dist = [-1] * g.n
-    dist[source] = 0
-    seen = 1 << source
-    frontier = seen
-    d = 0
-    while frontier:
-        d += 1
-        nxt = 0
-        for v in iter_bits(frontier):
-            nxt |= adj[v]
-        frontier = nxt & ~seen
-        seen |= frontier
-        for v in iter_bits(frontier):
-            dist[v] = d
-    return dist
-
-
 def _distance_matrix(g: Graph) -> list[list[int]]:
-    # Row s is bfs_distances(g, s); row 0 holds a -1 iff g is disconnected.
-    return [bfs_distances(g, s) for s in range(g.n)]
+    # Row s holds the BFS distances from s, -1 for unreachable vertices; row 0
+    # holds a -1 iff g is disconnected.
+    adj = g.adj
+    n = g.n
+    matrix = []
+    for s in range(n):
+        dist = [-1] * n
+        dist[s] = 0
+        seen = frontier = 1 << s
+        d = 0
+        while frontier:
+            d += 1
+            nxt = 0
+            for v in iter_bits(frontier):
+                nxt |= adj[v]
+            frontier = nxt & ~seen
+            seen |= frontier
+            for v in iter_bits(frontier):
+                dist[v] = d
+        matrix.append(dist)
+    return matrix
 
 
 def diameter(g: Graph) -> int:

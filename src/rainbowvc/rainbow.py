@@ -57,7 +57,7 @@ reached, their order and the witnesses are unchanged.
 from dataclasses import dataclass
 from typing import Callable, Iterator, Optional, Sequence
 
-from .graphs import Graph, _distance_matrix, is_complete, iter_bits
+from .graphs import Graph, _distance_matrix, iter_bits
 
 
 class TheoremViolationError(RuntimeError):
@@ -327,18 +327,6 @@ def _search(g: Graph, k: int, pairs: Sequence[tuple[int, int]]) -> Optional[Vert
         # this pair is new
         culprits[pair] = None
     return None
-
-
-def find_rainbow_coloring(g: Graph, k: int) -> Optional[VertexColoring]:
-    """First coloring with at most k colors passing the checker, or None."""
-    if not 0 <= k <= g.n:
-        raise ValueError(f"color count must be in 0..{g.n}, got {k}")
-    dist = _distance_matrix(g)
-    if -1 in dist[0]:
-        raise ValueError("rainbow coloring search requires a connected graph")
-    if k == 0:
-        return VertexColoring(0, ()) if is_complete(g) else None
-    return _search(g, k, _pairs_by_distance(dist))
 
 
 def rvc_exact(g: Graph) -> RvcResult:

@@ -1,11 +1,13 @@
 """Shared hypothesis strategies and brute-force helpers."""
 
+from functools import cache
 from itertools import combinations, permutations, product
 
 from hypothesis import assume, strategies as st
 
 from rainbowvc import (
     VertexColoring,
+    complement,
     exists_rainbow_path_oracle,
     from_edges,
     is_complete,
@@ -36,6 +38,18 @@ def all_labeled_graphs(n):
     pairs = list(combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
         yield from_edges(n, [p for i, p in enumerate(pairs) if (mask >> i) & 1])
+
+
+@cache
+def labeled_connected_graphs(n, complement_too=False):
+    """Every connected labeled order-n graph (with a connected complement
+    too, if asked), by filtering all_labeled_graphs: the labeled walk the
+    class enumerators are checked against.  Built once per argument pair."""
+    return tuple(
+        g
+        for g in all_labeled_graphs(n)
+        if is_connected(g) and (not complement_too or is_connected(complement(g)))
+    )
 
 
 def perm_min_edge_key(g):

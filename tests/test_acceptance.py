@@ -88,7 +88,7 @@ BOTH_CONNECTED_CLASSES = {4: 1, 5: 8, 6: 68, 7: 662}
 
 def test_criterion_4_census_n5():
     t0 = time.monotonic()
-    _, summary = census_run(enumerate_graphs(5, dedup=True), 5)
+    _, summary = census_run(enumerate_graphs(5), 5)
     ok = (
         summary.total_pairs == BOTH_CONNECTED_CLASSES[5]
         and summary.min_sum == 2
@@ -102,7 +102,7 @@ def test_criterion_4_census_n5():
 
 def test_criterion_5_census_n6():
     t0 = time.monotonic()
-    _, summary = census_run(enumerate_graphs(6, dedup=True), 6)
+    _, summary = census_run(enumerate_graphs(6), 6)
     ok = (
         summary.total_pairs == BOTH_CONNECTED_CLASSES[6]
         and summary.max_sum == 5
@@ -116,7 +116,7 @@ def test_criterion_5_census_n6():
 
 def test_criterion_5_census_n7():
     t0 = time.monotonic()
-    _, summary = census_run(enumerate_graphs(7, dedup=True), 7)
+    _, summary = census_run(enumerate_graphs(7), 7)
     ok = (
         summary.total_pairs == BOTH_CONNECTED_CLASSES[7]
         and summary.max_sum == 6
@@ -130,7 +130,7 @@ def test_criterion_5_census_n7():
 
 def test_criterion_6_hypothesis_necessity():
     t0 = time.monotonic()
-    _, summary = census_run(enumerate_graphs(4, dedup=True), 4)
+    _, summary = census_run(enumerate_graphs(4), 4)
     ok = summary.max_sum == 4 and summary.max_witnesses == (_class_graph6(path_graph(4)),)
     _report(6, "census n=4: max sum 4 exceeds n - 1 = 3 via P4", ok, time.monotonic() - t0, 1)
 
@@ -140,7 +140,7 @@ def extension_sweep():
     t0 = time.monotonic()
     reports = []
     for n in range(1, 6):
-        for g in enumerate_connected_graphs(n, dedup=True):
+        for g in enumerate_connected_graphs(n):
             for mask in range(1, 1 << g.n):
                 nbrs = [v for v in range(g.n) if (mask >> v) & 1]
                 reports.append(verify_extension_bound(g, nbrs))
@@ -168,7 +168,7 @@ def test_criterion_9_oracle_equivalence():
     disagreements = 0
     compared = 0
     for n in range(1, 7):
-        for g in enumerate_connected_graphs(n, dedup=True):
+        for g in enumerate_connected_graphs(n):
             for _ in range(200):
                 k = rng.randint(1, 3)
                 coloring = VertexColoring(k, tuple(rng.randrange(k) for _ in range(g.n)))
@@ -193,7 +193,7 @@ def test_criterion_10_structural_invariants():
             s = to_graph6(g)
             ok = ok and parse_graph6(s) == g and to_graph6(parse_graph6(s)) == s
     for n in range(1, 7):
-        for g in enumerate_connected_graphs(n, dedup=True):
+        for g in enumerate_connected_graphs(n):
             value = rvc_exact(g).value
             d = diameter(g)
             ok = ok and value >= d - 1

@@ -21,7 +21,7 @@ from rainbowvc import (
 )
 from rainbowvc.census import CSV_HEADER
 
-from strategies import all_labeled_graphs, perm_min_edge_key
+from strategies import all_labeled_graphs, labeled_connected_graphs, perm_min_edge_key
 
 # sha256 of records_to_csv, pinned so any change to a record value, the
 # record order or the CSV format fails here
@@ -37,7 +37,7 @@ def csv_sha256(records) -> str:
 # --- enumeration ----------------------------------------------------------
 
 def test_n4_single_class_is_p4():
-    reps = list(enumerate_graphs(4, dedup=True))
+    reps = list(enumerate_graphs(4))
     assert len(reps) == 1
     assert reps[0] == canonical_representative(path_graph(4))
 
@@ -63,7 +63,7 @@ def test_n5_classes_match_naive_enumeration():
     for g in all_labeled_graphs(5):
         if is_connected(g) and is_connected(complement(g)):
             naive.add(perm_min_edge_key(g))
-    reps = list(enumerate_graphs(5, dedup=True))
+    reps = list(enumerate_graphs(5))
     assert len(reps) == len(naive) == 8
     assert {perm_min_edge_key(g) for g in reps} == naive
     assert canonical_representative(cycle_graph(5)) in reps
@@ -73,7 +73,7 @@ def test_n5_classes_match_naive_enumeration():
 def test_dedup_reps_are_canonical_and_ascending():
     for n in (4, 5, 6, 7):
         masks = []
-        for g in enumerate_graphs(n, dedup=True):
+        for g in enumerate_graphs(n):
             assert canonical_representative(g) == g
             masks.append(triangle_mask(g))
         assert masks == sorted(masks)
@@ -81,24 +81,25 @@ def test_dedup_reps_are_canonical_and_ascending():
 
 def test_labeled_enumeration_counts():
     # every labeled graph appears exactly once, no isomorph filtering
-    labeled5 = list(enumerate_graphs(5, dedup=False))
+    labeled5 = labeled_connected_graphs(5, complement_too=True)
     assert len(labeled5) == 432
     assert len({triangle_mask(g) for g in labeled5}) == 432
 
 
 def test_connected_enumeration_counts():
     # OEIS A001349
-    counts = [len(list(enumerate_connected_graphs(n, dedup=True))) for n in range(1, 8)]
+    counts = [len(list(enumerate_connected_graphs(n))) for n in range(1, 8)]
     assert counts == [1, 1, 2, 6, 21, 112, 853]
 
 
 def test_dedup_classes_match_labeled_walk():
     # one class per canonical form met by the labeled walk, and no other
-    cases = [(enumerate_graphs, n) for n in range(2, 7)]
-    cases += [(enumerate_connected_graphs, n) for n in range(1, 6)]
-    for enumerate_fn, n in cases:
-        labeled = {canonical_representative(g) for g in enumerate_fn(n, dedup=False)}
-        reps = [canonical_representative(g) for g in enumerate_fn(n, dedup=True)]
+    cases = [(enumerate_graphs, True, n) for n in range(2, 7)]
+    cases += [(enumerate_connected_graphs, False, n) for n in range(1, 6)]
+    for enumerate_fn, complement_too, n in cases:
+        walk = labeled_connected_graphs(n, complement_too=complement_too)
+        labeled = {canonical_representative(g) for g in walk}
+        reps = [canonical_representative(g) for g in enumerate_fn(n)]
         assert len(reps) == len(set(reps))
         assert set(reps) == labeled
 
@@ -119,7 +120,7 @@ def test_dedup_classes_match_networkx_atlas():
     for n, want in ((4, 1), (5, 8), (6, 68), (7, 662)):
         buckets = atlas[n]
         assert sum(map(len, buckets.values())) == want
-        reps = list(enumerate_graphs(n, dedup=True))
+        reps = list(enumerate_graphs(n))
         assert len(reps) == want
         for g in reps:
             ref = nx.from_graph6_bytes(to_graph6(g).encode("ascii"))
@@ -135,7 +136,8 @@ def test_ingest_matches_builtin_classes():
     lines = [to_graph6(g) + "\n" for g in all_labeled_graphs(5)]
     got = sorted(triangle_mask(canonical_representative(g)) for g in ingest_graph6(lines))
     want = sorted(
-        triangle_mask(canonical_representative(g)) for g in enumerate_graphs(5, dedup=False)
+        triangle_mask(canonical_representative(g))
+        for g in labeled_connected_graphs(5, complement_too=True)
     )
     assert got == want
 
@@ -165,7 +167,7 @@ def test_ingest_preserves_order():
 # --- census ------------------------------------------------------------------
 
 def test_census_n5():
-    records, summary = census_run(enumerate_graphs(5, dedup=True), 5)
+    records, summary = census_run(enumerate_graphs(5), 5)
     assert summary.total_pairs == 8
     assert summary.min_sum == 2 and summary.max_sum == 4
     assert summary.violations == ()
@@ -175,7 +177,7 @@ def test_census_n5():
 
 
 def test_census_n4_breaks_the_bound():
-    records, summary = census_run(enumerate_graphs(4, dedup=True), 4)
+    records, summary = census_run(enumerate_graphs(4), 4)
     assert summary.max_sum == 4 > 3
     assert summary.max_witnesses == (to_graph6(canonical_representative(path_graph(4))),)
     assert not records[0].bounds_ok
@@ -203,8 +205,8 @@ def test_census_empty_stream():
 
 
 def test_census_records_sorted_and_deterministic():
-    records1, _ = census_run(enumerate_graphs(5, dedup=False), 5)
-    records2, _ = census_run(enumerate_graphs(5, dedup=False), 5)
+    records1, _ = census_run(labeled_connected_graphs(5, complement_too=True), 5)
+    records2, _ = census_run(reversed(labeled_connected_graphs(5, complement_too=True)), 5)
     assert records1 == records2
     keys = [r.graph6 for r in records1]
     assert keys == sorted(keys)
@@ -221,7 +223,7 @@ def census_by_workers(make_stream, n: int, workers: int):
 
 
 def test_census_workers_match_single_thread():
-    records = census_by_workers(lambda: enumerate_graphs(6, dedup=True), 6, 4)
+    records = census_by_workers(lambda: enumerate_graphs(6), 6, 4)
     assert csv_sha256(records) == N6_DEDUP_CSV_SHA256
     # each n = 8 graph sits beside a relabeled copy of its complement, so
     # two records solve the same pair of classes
@@ -258,13 +260,13 @@ def test_census_ingested_n9_above_canonical_limit():
 
 
 def test_census_n7_dedup_csv_pinned():
-    records, _ = census_run(enumerate_graphs(7, dedup=True), 7)
+    records, _ = census_run(enumerate_graphs(7), 7)
     assert csv_sha256(records) == N7_DEDUP_CSV_SHA256
 
 
 def test_census_diameters_match_networkx():
     nx = pytest.importorskip("networkx")
-    records, _ = census_run(enumerate_graphs(6, dedup=True), 6)
+    records, _ = census_run(enumerate_graphs(6), 6)
     assert records
     for r in records:
         ref = nx.from_graph6_bytes(r.graph6.encode("ascii"))
@@ -274,8 +276,8 @@ def test_census_diameters_match_networkx():
 def test_dedup_soundness_small():
     # extremes agree between the labeled run and the per-class run
     for n in (4, 5, 6):
-        _, labeled = census_run(enumerate_graphs(n, dedup=False), n)
-        _, classes = census_run(enumerate_graphs(n, dedup=True), n)
+        _, labeled = census_run(labeled_connected_graphs(n, complement_too=True), n)
+        _, classes = census_run(enumerate_graphs(n), n)
         assert labeled.min_sum == classes.min_sum
         assert labeled.max_sum == classes.max_sum
 
@@ -283,7 +285,7 @@ def test_dedup_soundness_small():
 # --- output formats --------------------------------------------------------
 
 def test_csv_shape():
-    records, _ = census_run(enumerate_graphs(4, dedup=True), 4)
+    records, _ = census_run(enumerate_graphs(4), 4)
     text = records_to_csv(records)
     lines = text.splitlines()
     assert lines[0] == CSV_HEADER == "graph6,n,rvc_g,rvc_gbar,sum,diam_g,diam_gbar,bounds_ok"
@@ -294,7 +296,7 @@ def test_csv_shape():
 
 
 def test_summary_dict_mirror():
-    _, summary = census_run(enumerate_graphs(5, dedup=True), 5)
+    _, summary = census_run(enumerate_graphs(5), 5)
     data = summary_to_dict(summary)
     assert set(data) == {
         "n",

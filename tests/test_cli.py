@@ -191,6 +191,23 @@ def test_census_workers_byte_identical(capsys, tmp_path):
     assert paths[0].read_bytes() == paths[1].read_bytes()
 
 
+def test_census_dedup_has_no_effect(capsys, tmp_path):
+    # --builtin always lists one graph per class; --dedup stays accepted
+    outputs = []
+    for extra in ([], ["--dedup"]):
+        csv_path = tmp_path / f"out{len(extra)}.csv"
+        summary_path = tmp_path / f"summary{len(extra)}.json"
+        result = run(
+            capsys,
+            "census", "--n", "5", "--builtin", *extra,
+            "--out-csv", str(csv_path),
+            "--out-summary", str(summary_path),
+        )
+        outputs.append((result, csv_path.read_bytes(), summary_path.read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert outputs[0][0][0] == 0
+
+
 def test_census_from_file(capsys, tmp_path):
     src = tmp_path / "graphs.g6"
     src.write_text(f"{C5}\n{P5}\n")
@@ -214,6 +231,23 @@ def test_census_file_lenient_skips(capsys, tmp_path):
     assert code == 0
     assert json.loads(out)["total_pairs"] == 2
     assert "line 2" in err
+
+
+def test_census_file_non_ascii_line_lenient_skips(capsys, tmp_path):
+    src = tmp_path / "graphs.g6"
+    src.write_bytes(f"{C5}\nD\u00e9c\n{P5}\n".encode("utf-8"))
+    code, out, err = run(capsys, "census", "--n", "5", "--file", str(src))
+    assert code == 0
+    assert json.loads(out)["total_pairs"] == 2
+    assert "warning: skipped line 2:" in err
+
+
+def test_census_file_non_ascii_line_strict_aborts(capsys, tmp_path):
+    src = tmp_path / "graphs.g6"
+    src.write_bytes(f"{C5}\nD\u00e9c\n{P5}\n".encode("utf-8"))
+    code, out, err = run(capsys, "census", "--n", "5", "--file", str(src), "--strict")
+    assert code == 2 and out == ""
+    assert "error: line 2:" in err
 
 
 def test_census_needs_exactly_one_source(capsys):

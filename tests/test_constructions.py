@@ -2,7 +2,7 @@ from itertools import combinations
 
 import pytest
 
-from rainbowvc import canonical_representative, complement, diameter, edge_count, rvc_exact
+from rainbowvc import canonical_representative, complement, diameter, edge_list, rvc_exact
 from rainbowvc.constructions import (
     complement_pair,
     complete_graph,
@@ -74,7 +74,7 @@ def test_diameter_two_edge_structure_n7():
     g = diameter_two_graph(7)
     # hub 0 to spokes 1..3, matching to 4..6, clique on 4..6
     assert g.degree(0) == 3
-    assert edge_count(g) == 3 + 3 + 3
+    assert len(edge_list(g)) == 3 + 3 + 3
 
 
 def test_diameter_two_rejects_small_n():

@@ -13,7 +13,6 @@ from rainbowvc import (
     exists_rainbow_path,
     exists_rainbow_path_oracle,
     find_failing_pair,
-    find_rainbow_coloring,
     from_edges,
     relabel,
     rgs_colorings,
@@ -21,9 +20,14 @@ from rainbowvc import (
 )
 from rainbowvc.constructions import complete_graph, cycle_graph, path_graph, star_graph
 from rainbowvc.graphs import _distance_matrix
-from rainbowvc.rainbow import _pairs_by_distance, _rainbow_walk
+from rainbowvc.rainbow import _pairs_by_distance, _rainbow_walk, _search
 
 from strategies import colored_graphs, graphs, oracle_is_rainbow, rvc_brute
+
+
+def find_coloring(g, k):
+    # the first coloring with at most k colors that the pruned search accepts
+    return _search(g, k, _pairs_by_distance(_distance_matrix(g)))
 
 
 # --- coloring type ------------------------------------------------------------
@@ -221,32 +225,20 @@ def test_rgs_prune_skips_exactly_the_extensions(n, k):
             assert kept == [c for c in full if c[: i + 1] != prefix]
 
 
-def test_find_rainbow_coloring_complete_zero():
-    assert find_rainbow_coloring(complete_graph(4), 0) == VertexColoring(0, ())
-    assert find_rainbow_coloring(path_graph(3), 0) is None
-
-
 def test_find_rainbow_coloring_p5():
-    assert find_rainbow_coloring(path_graph(5), 2) is None
-    found = find_rainbow_coloring(path_graph(5), 3)
+    assert find_coloring(path_graph(5), 2) is None
+    found = find_coloring(path_graph(5), 3)
     assert found is not None
     assert find_failing_pair(path_graph(5), found) is None
 
 
 def test_find_rainbow_coloring_c5_single_color():
-    assert find_rainbow_coloring(cycle_graph(5), 1) == VertexColoring(1, (0,) * 5)
-
-
-def test_find_rainbow_coloring_validation():
-    with pytest.raises(ValueError):
-        find_rainbow_coloring(path_graph(3), 4)
-    with pytest.raises(ValueError):
-        find_rainbow_coloring(from_edges(4, [(0, 1), (2, 3)]), 2)
+    assert find_coloring(cycle_graph(5), 1) == VertexColoring(1, (0,) * 5)
 
 
 def test_find_rainbow_coloring_deterministic():
     g = cycle_graph(7)
-    assert find_rainbow_coloring(g, 3) == find_rainbow_coloring(g, 3)
+    assert find_coloring(g, 3) == find_coloring(g, 3)
 
 
 @given(st.data())
@@ -254,8 +246,8 @@ def test_find_rainbow_coloring_deterministic():
 def test_success_is_monotone_in_k(data):
     g = data.draw(graphs(min_n=2, max_n=6, connected=True))
     k = data.draw(st.integers(1, g.n - 1))
-    if find_rainbow_coloring(g, k) is not None:
-        assert find_rainbow_coloring(g, k + 1) is not None
+    if find_coloring(g, k) is not None:
+        assert find_coloring(g, k + 1) is not None
 
 
 # --- exact solver ---------------------------------------------------------------
@@ -317,13 +309,13 @@ def test_search_matches_unpruned_oracle_scan():
 
     checked = 0
     for n in range(3, 7):
-        for g in enumerate_connected_graphs(n, dedup=True):
+        for g in enumerate_connected_graphs(n):
             for k in range(1, n - 1):
                 expected = next(
                     (c for c in rgs_colorings(n, k) if oracle_is_rainbow(g, VertexColoring(k, c))),
                     None,
                 )
-                found = find_rainbow_coloring(g, k)
+                found = find_coloring(g, k)
                 assert (found.colors if found else None) == expected
                 checked += 1
     assert checked == 2 * 1 + 6 * 2 + 21 * 3 + 112 * 4
@@ -366,7 +358,7 @@ def test_walk_cache_reaches_the_same_leaves(monkeypatch):
     monkeypatch.setattr(rainbow, "rgs_colorings", recording)
     checked = 0
     for n in range(3, 7):
-        for g in enumerate_connected_graphs(n, dedup=True):
+        for g in enumerate_connected_graphs(n):
             pairs = _pairs_by_distance(_distance_matrix(g))
             for k in range(1, n - 1):
                 reached.clear()
@@ -407,7 +399,7 @@ def test_rvc_matches_brute_force_small():
     from rainbowvc import enumerate_connected_graphs
 
     for n in range(1, 6):
-        for g in enumerate_connected_graphs(n, dedup=True):
+        for g in enumerate_connected_graphs(n):
             assert rvc_exact(g).value == rvc_brute(g)
 
 
